@@ -70,17 +70,16 @@ def test_cost_balance_and_stealing_beat_naive_round_robin():
     units = expand_units(manifest)
     scale = SIMULATED_TOTAL_SECONDS / sum(unit_cost(manifest, u) for u in units)
 
-    def sleep_queues(shards):
+    def sleep_queues(unit_lists):
         return [
-            [unit_cost(manifest, unit) * scale for unit in shard.units]
-            for shard in shards
+            [unit_cost(manifest, unit) * scale for unit in shard_units]
+            for shard_units in unit_lists
         ]
 
-    naive_queues = sleep_queues(
-        plan(manifest, shards=SLOTS, by="block", balance="round_robin")
-    )
+    # Round-robin over the canonical unit order: unit i to queue i % SLOTS.
+    naive_queues = sleep_queues([units[index::SLOTS] for index in range(SLOTS)])
     balanced_queues = sleep_queues(
-        plan(manifest, shards=SLOTS, by="block", balance="cost")
+        [shard.units for shard in plan(manifest, shards=SLOTS)]
     )
     naive_seconds, _ = _dispatch_seconds(naive_queues, steal=False)
     balanced_seconds, stolen = _dispatch_seconds(balanced_queues, steal=True)

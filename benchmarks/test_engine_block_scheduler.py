@@ -14,7 +14,8 @@ Two acceptance numbers guard the engine refactors:
   **1.5x** on the hard m=50 shape (it measured ~1.3x before converged
   rows were dropped from the stack, ~2.2x after).
 
-A further (informational) timing compares the whole engines.
+A further (informational) timing compares the block engine with the
+per-cell reference oracle of the test suite (:mod:`tests.cells_oracle`).
 
 Run with ``python -m pytest -m bench benchmarks/test_engine_block_scheduler.py -s``.
 """
@@ -29,6 +30,7 @@ from repro.core import Mapping, evaluate
 from repro.experiments import CellBlock, HeuristicProvider, run_scenario
 from repro.generators import ScenarioConfig
 from repro.simulation.rng import RandomStreamFactory
+from tests.cells_oracle import run_cells
 
 #: The batch-capable paper heuristics (H1 is randomized and stays serial).
 BATCHABLE_HEURISTICS = ("H2", "H3", "H4", "H4w", "H4f")
@@ -172,12 +174,8 @@ def test_batch_refine_speedup_at_r50(block):
 def test_end_to_end_engines_report(scenario):
     """Informational: whole-run block vs cells timing (sampling is shared
     work and bounds the ratio; the solve itself is batched at this R)."""
-    cells_time = _time(
-        lambda: run_scenario(scenario, seed=17, engine="cells"), repeats=2
-    )
-    block_time = _time(
-        lambda: run_scenario(scenario, seed=17, engine="block"), repeats=2
-    )
+    cells_time = _time(lambda: run_cells(scenario, seed=17), repeats=2)
+    block_time = _time(lambda: run_scenario(scenario, seed=17), repeats=2)
     print(
         f"\nend-to-end R={R} sweep point: cells {cells_time * 1e3:.0f} ms, "
         f"block {block_time * 1e3:.0f} ms ({cells_time / block_time:.2f}x)"

@@ -11,10 +11,10 @@ asserts:
 
 * every response is **bit-for-bit identical** to the direct (unbatched,
   uncached) reference solve of the same request;
-* the duplicates produced cache hits (``/stats`` cache counter > 0);
+* the duplicates produced cache hits (``/v1/stats`` cache counter > 0);
 * the service actually grouped compatible requests (at least one
   multi-request flush);
-* ``/stats`` accounting adds up (solved == requests fired, errors == 0)
+* ``/v1/stats`` accounting adds up (solved == requests fired, errors == 0)
   and reports latency percentiles (p50/p95/p99 > 0).
 
 **Phase 2 — overload** (``--max-pending 2`` and a long window): fires a
@@ -67,13 +67,17 @@ from repro.service import (  # noqa: E402 - path bootstrap above
     ServiceClient,
     direct_response,
     normalize_request,
-    service_stats,
-    solve_remote,
 )
 
 STARTUP_TIMEOUT = 30.0
 #: How long a shed request keeps retrying before the smoke gives up.
 RETRY_TIMEOUT = 60.0
+
+
+def solve_once(url: str, payload: dict) -> dict:
+    """``POST /v1/solve`` on its own connection; a 429 raises, never retries."""
+    with ServiceClient(url, retries=0) as client:
+        return client.solve(payload)
 
 
 def request_mix() -> list[dict]:
@@ -206,12 +210,12 @@ def phase_mixed_traffic() -> bool:
         # window actually has company to group.
         with ThreadPoolExecutor(max_workers=len(unique)) as pool:
             responses = list(
-                pool.map(lambda payload: solve_remote(url, payload), unique)
+                pool.map(lambda payload: solve_once(url, payload), unique)
             )
         # Wave 2: re-fire a few duplicates after the first wave settled —
         # these must be answered from the solve cache.
         duplicates = [dict(unique[0]), dict(unique[3]), dict(unique[8]), dict(unique[13])]
-        duplicate_responses = [solve_remote(url, payload) for payload in duplicates]
+        duplicate_responses = [solve_once(url, payload) for payload in duplicates]
         requests = unique + duplicates
         responses = responses + duplicate_responses
 
@@ -230,7 +234,8 @@ def phase_mixed_traffic() -> bool:
             return False
         print(f"{len(responses)} service responses bit-for-bit match direct solves")
 
-        stats = service_stats(url)
+        with ServiceClient(url) as client:
+            stats = client.stats()
         print("stats:", stats)
         service, batcher, cache = stats["service"], stats["batcher"], stats["cache"]
         return report(
@@ -273,7 +278,7 @@ def phase_overload() -> bool:
             deadline = time.time() + RETRY_TIMEOUT
             while True:
                 try:
-                    return solve_remote(url, payload)
+                    return solve_once(url, payload)
                 except ServiceOverloadedError as exc:
                     if exc.retry_after_seconds is None or exc.retry_after_seconds < 1:
                         raise RuntimeError(
@@ -302,13 +307,14 @@ def phase_overload() -> bool:
             f"({len(shed_hints)} shed-and-retried)"
         )
 
-        stats = service_stats(url)
+        with ServiceClient(url) as client:
+            stats = client.stats()
         print("stats:", stats)
         service = stats["service"]
         return report(
             [
                 (len(shed_hints) >= 1, "burst actually overloaded the queue"),
-                (service["shed"] >= 1, "shedding surfaced in /stats"),
+                (service["shed"] >= 1, "shedding surfaced in /v1/stats"),
                 (stats["batcher"]["shed"] >= 1, "batcher admission counted it"),
                 (service["errors"] == 0, "shed requests are not errors"),
                 (service["solved"] == len(requests), "every request eventually solved"),

@@ -7,16 +7,20 @@ coordination:
 
 1. :func:`~repro.campaign.plan.plan` expands a
    :class:`~repro.campaign.plan.CampaignManifest` (figures x seeds x
-   curves x sweep points) into per-shard work-unit lists
+   curves x sweep points) into per-shard work-unit lists, balanced
+   longest-first by the :mod:`repro.dag.cost` estimates
    (``microrepro shard plan``);
-2. :func:`~repro.campaign.worker.run_shard` executes exactly one
-   shard's units through the block engine into a local
+2. each shard's units map to their campaign-DAG solve stages and run
+   through the one campaign executor,
+   :func:`repro.dag.scheduler.execute_solves`, into a local
    :class:`~repro.experiments.store.ResultStore`
    (``microrepro shard run``);
 3. :func:`~repro.campaign.merge.merge_stores` unions the shard stores —
    append-only, key-addressed cell records with conflict detection —
    into the store a single host would have produced, bit for bit
-   (``microrepro store merge``).
+   (``microrepro store merge``);
+4. :func:`~repro.campaign.status.shard_status` reports how complete each
+   shard's store is against its plan (``microrepro shard status``).
 
 Results are pure functions of ``(scenario, seed, curve, sweep value)``
 through CRC-hashed random stream labels, which is what makes the merged
@@ -25,8 +29,6 @@ store independent of how the work was partitioned.
 
 from .merge import merge_stores
 from .plan import (
-    PLAN_AXES,
-    PLAN_BALANCES,
     CampaignManifest,
     ShardPlan,
     WorkUnit,
@@ -43,11 +45,8 @@ from .status import (
     status_payload,
     status_rows,
 )
-from .worker import ShardReport, run_shard
 
 __all__ = [
-    "PLAN_AXES",
-    "PLAN_BALANCES",
     "CampaignManifest",
     "ShardPlan",
     "WorkUnit",
@@ -56,8 +55,6 @@ __all__ = [
     "parse_seed_spec",
     "plan",
     "write_plans",
-    "ShardReport",
-    "run_shard",
     "ShardStatus",
     "load_shard_plans",
     "shard_status",

@@ -4,38 +4,22 @@ A :class:`CampaignManifest` describes one Monte-Carlo campaign: which
 figures to reproduce, over which root seeds, at which scale.  The
 planner expands it into the campaign's **work units** — one per
 ``(figure, seed, curve, sweep value)`` block, the exact granularity of
-the result store's cell records — and partitions them into ``N``
-disjoint :class:`ShardPlan` s:
+the campaign DAG's solve stages and of the result store's cell records
+— and partitions them into ``N`` disjoint :class:`ShardPlan` s:
 
 >>> manifest = CampaignManifest(figures=("fig5",), seeds=(0, 1), repetitions=4)
->>> shards = plan(manifest, shards=2, by="seed")
+>>> shards = plan(manifest, shards=2)
 >>> sum(len(s.units) for s in shards) == len(expand_units(manifest))
 True
 
-Planning is a pure function of ``(manifest, shards, by)``: re-planning
-on any host reproduces the same partition, so a worker given only the
-campaign manifest and its ``k/N`` coordinates computes exactly the same
-units as one given a serialized per-shard manifest.
-
-The ``by`` axis controls what stays together on one shard:
-
-``"seed"``
-    Whole seeds (every figure of seed ``s`` on one host) — the natural
-    choice for multi-seed campaigns, no cross-host RunMeta sharing.
-``"curve"``
-    (figure, seed, curve) groups — spreads expensive curves (MIP, the
-    binary-search family) across hosts.
-``"block"``
-    Individual blocks — finest partition, best balance for small
-    campaigns.
-
-Units are assigned round-robin over the grouping keys in first-
-appearance order, so shard *counts* stay within one group of each
-other.  Counts are not costs: a MIP block runs ~100x a heuristic block
-(see :mod:`repro.dag.cost`), so ``balance="cost"`` instead assigns
-groups longest-processing-time-first to the least-loaded shard, keeping
-estimated shard *durations* level.  Both policies are pure functions of
-their inputs — re-planning anywhere reproduces the same partition.
+Units are not equally expensive: a MIP block runs ~100x a heuristic
+block (see :mod:`repro.dag.cost`).  The planner therefore assigns units
+longest-processing-time-first, each to the currently least-loaded
+shard by estimated cost, so shard *durations* stay level.  Planning is
+a pure function of ``(manifest, shards)``: re-planning on any host
+reproduces the same partition, so a worker given only the campaign
+manifest and its ``k/N`` coordinates computes exactly the same units as
+one given a serialized per-shard manifest.
 """
 
 from __future__ import annotations
@@ -59,15 +43,7 @@ __all__ = [
     "plan",
     "write_plans",
     "load_plan",
-    "PLAN_AXES",
-    "PLAN_BALANCES",
 ]
-
-#: Valid shard-partition axes.
-PLAN_AXES = ("seed", "curve", "block")
-
-#: Valid shard-balancing policies.
-PLAN_BALANCES = ("round_robin", "cost")
 
 #: File name of the campaign-level manifest written next to shard plans.
 CAMPAIGN_FILE = "campaign.json"
@@ -225,24 +201,14 @@ class WorkUnit:
         figure_id, seed, curve, sweep_value = data
         return cls(str(figure_id), int(seed), str(curve), int(sweep_value))
 
-    def group_key(self, by: str) -> tuple:
-        """The shard-assignment key of this unit along one plan axis."""
-        if by == "seed":
-            return (self.seed,)
-        if by == "curve":
-            return (self.figure_id, self.seed, self.curve)
-        if by == "block":
-            return (self.figure_id, self.seed, self.curve, self.sweep_value)
-        raise ExperimentError(f"unknown plan axis {by!r}; use one of {PLAN_AXES}")
-
 
 def expand_units(manifest: CampaignManifest) -> list[WorkUnit]:
     """Every work unit of a campaign, in canonical order.
 
     Canonical order — figures (manifest order), then seeds, then curves
     (series order), then sweep values — is what makes planning
-    deterministic and shard manifests reproducible from ``(manifest, N,
-    by)`` alone.
+    deterministic and shard manifests reproducible from ``(manifest, N)``
+    alone.
     """
     units: list[WorkUnit] = []
     for figure_id in manifest.figures:
@@ -262,9 +228,7 @@ class ShardPlan:
     manifest: CampaignManifest
     index: int
     shards: int
-    by: str
     units: tuple[WorkUnit, ...] = field(default_factory=tuple)
-    balance: str = "round_robin"
 
     @property
     def name(self) -> str:
@@ -276,111 +240,59 @@ class ShardPlan:
             "manifest": self.manifest.to_dict(),
             "shard": self.index,
             "shards": self.shards,
-            "by": self.by,
-            "balance": self.balance,
             "units": [unit.as_list() for unit in self.units],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ShardPlan":
+        # Files written by older planners also record "by"/"balance"; the
+        # unit list is authoritative, so those fields are ignored.
         return cls(
             manifest=CampaignManifest.from_dict(data["manifest"]),
             index=int(data["shard"]),
             shards=int(data["shards"]),
-            by=str(data["by"]),
             units=tuple(WorkUnit.from_list(unit) for unit in data["units"]),
-            balance=str(data.get("balance", "round_robin")),
         )
 
 
-def _assign_by_cost(
-    manifest: CampaignManifest, units: list[WorkUnit], by: str, shards: int
-) -> dict[tuple, int]:
-    """LPT assignment of group keys to shards by estimated cost.
-
-    Groups (in first-appearance order) are priced with the
-    :mod:`repro.dag.cost` model, sorted longest first, and each assigned
-    to the currently least-loaded shard.  Ties break on first-appearance
-    order then shard index, so the partition is deterministic.
-    """
-    from ..dag.cost import unit_cost
-
-    order: list[tuple] = []
-    group_cost: dict[tuple, float] = {}
-    for unit in units:
-        key = unit.group_key(by)
-        if key not in group_cost:
-            group_cost[key] = 0.0
-            order.append(key)
-        group_cost[key] += unit_cost(manifest, unit)
-    rank = {key: position for position, key in enumerate(order)}
-    loads = [0.0] * shards
-    assignment: dict[tuple, int] = {}
-    for key in sorted(order, key=lambda key: (-group_cost[key], rank[key])):
-        shard = min(range(shards), key=lambda index: (loads[index], index))
-        assignment[key] = shard
-        loads[shard] += group_cost[key]
-    return assignment
-
-
-def plan(
-    manifest: CampaignManifest,
-    *,
-    shards: int,
-    by: str = "seed",
-    balance: str = "round_robin",
-) -> list[ShardPlan]:
+def plan(manifest: CampaignManifest, *, shards: int) -> list[ShardPlan]:
     """Partition a campaign into ``shards`` disjoint, covering shard plans.
 
-    With ``balance="round_robin"``, group keys along the ``by`` axis are
-    assigned round-robin in first-appearance order over the canonical
-    unit expansion; with ``balance="cost"``, longest-processing-time-
-    first by the calibrated cost model (see module docstring).  Either
-    way two calls with the same arguments produce identical plans on any
-    host, every unit lands on exactly one shard, and units keep their
-    canonical order within each shard (some shards may be empty when
-    there are fewer groups than shards).
+    Units are priced with :func:`repro.dag.cost.unit_cost`, sorted
+    longest first (ties in canonical order) and each assigned to the
+    least-loaded shard (ties to the lowest index).  Two calls with the
+    same arguments produce identical plans on any host, every unit lands
+    on exactly one shard, and units keep their canonical order within
+    each shard (some shards may be empty when there are fewer units than
+    shards).
     """
+    # Imported here: repro.dag's package import compiles pipelines from
+    # this module's manifests, so a module-level import would be circular.
+    from ..dag.cost import unit_cost
+
     if shards < 1:
         raise ExperimentError(f"shards must be >= 1, got {shards}")
-    if by not in PLAN_AXES:
-        raise ExperimentError(f"unknown plan axis {by!r}; use one of {PLAN_AXES}")
-    if balance not in PLAN_BALANCES:
-        raise ExperimentError(
-            f"unknown balance policy {balance!r}; use one of {PLAN_BALANCES}"
-        )
     units = expand_units(manifest)
-    per_shard: list[list[WorkUnit]] = [[] for _ in range(shards)]
-    if balance == "cost":
-        assignment = _assign_by_cost(manifest, units, by, shards)
-        for unit in units:
-            per_shard[assignment[unit.group_key(by)]].append(unit)
-    else:
-        rr_assignment: dict[tuple, int] = {}
-        for unit in units:
-            key = unit.group_key(by)
-            shard = rr_assignment.setdefault(key, len(rr_assignment) % shards)
-            per_shard[shard].append(unit)
+    costs = [unit_cost(manifest, unit) for unit in units]
+    loads = [0.0] * shards
+    owner = [0] * len(units)
+    for position in sorted(range(len(units)), key=lambda i: (-costs[i], i)):
+        shard = min(range(shards), key=lambda index: (loads[index], index))
+        owner[position] = shard
+        loads[shard] += costs[position]
     return [
         ShardPlan(
             manifest=manifest,
             index=index,
             shards=shards,
-            by=by,
-            units=tuple(units),
-            balance=balance,
+            units=tuple(unit for unit, k in zip(units, owner) if k == index),
         )
-        for index, units in enumerate(per_shard)
+        for index in range(shards)
     ]
 
 
 def write_plans(
-    manifest: CampaignManifest,
-    out_dir: str | os.PathLike,
-    *,
-    shards: int,
-    by: str = "seed",
-    balance: str = "round_robin",
+    manifest: CampaignManifest, out_dir: str | os.PathLike, *, shards: int
 ) -> list[tuple[Path, ShardPlan]]:
     """Write ``campaign.json`` plus one ``shard_<k>.json`` per shard.
 
@@ -390,8 +302,8 @@ def write_plans(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    shard_plans = plan(manifest, shards=shards, by=by, balance=balance)
-    campaign_doc = dict(manifest.to_dict(), shards=shards, by=by, balance=balance)
+    shard_plans = plan(manifest, shards=shards)
+    campaign_doc = dict(manifest.to_dict(), shards=shards)
     (out / CAMPAIGN_FILE).write_text(
         json.dumps(campaign_doc, indent=2) + "\n", encoding="utf-8"
     )
@@ -403,12 +315,39 @@ def write_plans(
     return written
 
 
+def _read_plan_file(path: str | os.PathLike) -> dict:
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ExperimentError(f"cannot read plan file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ExperimentError(f"{path} is not a valid plan file: {exc}") from exc
+
+
+def _campaign_from_doc(
+    path: str | os.PathLike, raw: dict
+) -> tuple[CampaignManifest, int | None]:
+    """The manifest and recorded shard count of a campaign document.
+
+    Older planners also recorded a partition axis (``by``) and policy
+    (``balance``).  Only ``block``/``cost`` re-plans into the partition
+    those files' other workers ran; anything else is refused — the same
+    hazard as a mismatched shard count.
+    """
+    raw = dict(raw)
+    count = raw.pop("shards", None)
+    by, balance = raw.pop("by", None), raw.pop("balance", None)
+    if (by, balance) not in ((None, None), ("block", "cost")):
+        raise ExperimentError(
+            f"{path} was planned by {by or 'seed'!r} with "
+            f"{balance or 'round_robin'!r} balancing, which this planner no "
+            "longer reproduces; re-run 'shard plan' and restart its shards"
+        )
+    return CampaignManifest.from_dict(raw), count
+
+
 def load_plan(
-    path: str | os.PathLike,
-    *,
-    shard: tuple[int, int] | None = None,
-    by: str | None = None,
-    balance: str | None = None,
+    path: str | os.PathLike, *, shard: tuple[int, int] | None = None
 ) -> ShardPlan:
     """Load a shard plan from a planner file.
 
@@ -417,47 +356,15 @@ def load_plan(
     N)`` and re-plans deterministically, which is how a worker can run
     from nothing but the campaign file and its coordinates.
     """
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ExperimentError(f"cannot read plan file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ExperimentError(f"{path} is not a valid plan file: {exc}") from exc
+    raw = _read_plan_file(path)
     if "units" in raw:
         if shard is not None and shard != (int(raw["shard"]), int(raw["shards"])):
             raise ExperimentError(
                 f"{path} is shard {raw['shard']}/{raw['shards']}, not "
                 f"{shard[0]}/{shard[1]}"
             )
-        if by is not None and by != raw["by"]:
-            raise ExperimentError(
-                f"{path} was planned by {raw['by']!r}; it cannot be re-partitioned "
-                f"by {by!r} (re-run 'shard plan', or pass the campaign manifest)"
-            )
-        if balance is not None and balance != raw.get("balance", "round_robin"):
-            raise ExperimentError(
-                f"{path} was balanced by {raw.get('balance', 'round_robin')!r}, not "
-                f"{balance!r}; re-run 'shard plan' to change the balancing policy"
-            )
         return ShardPlan.from_dict(raw)
-    count = raw.pop("shards", None)
-    recorded_by = raw.pop("by", None)
-    recorded_balance = raw.pop("balance", None)
-    if by is not None and recorded_by is not None and by != recorded_by:
-        # Same hazard as a mismatched shard count: two hosts partitioning
-        # the one campaign along different axes don't tile its units.
-        raise ExperimentError(
-            f"{path} was planned by {recorded_by!r}, not {by!r}; "
-            "re-run 'shard plan' to change the partition axis"
-        )
-    if balance is not None and recorded_balance is not None and balance != recorded_balance:
-        raise ExperimentError(
-            f"{path} was balanced by {recorded_balance!r}, not {balance!r}; "
-            "re-run 'shard plan' to change the balancing policy"
-        )
-    axis = by or recorded_by or "seed"
-    policy = balance or recorded_balance or "round_robin"
-    manifest = CampaignManifest.from_dict(raw)
+    manifest, count = _campaign_from_doc(path, raw)
     if shard is None:
         if count in (None, 1):
             shard = (0, 1)
@@ -469,7 +376,7 @@ def load_plan(
     elif count is not None and shard[1] != count:
         # A planner-written campaign file pins the shard count: accepting a
         # different N would silently re-partition the campaign and leave
-        # group keys uncovered across the fleet.
+        # units uncovered across the fleet.
         raise ExperimentError(
             f"{path} was planned for {count} shard(s), not {shard[1]}; "
             "re-run 'shard plan' to change the partition"
@@ -477,4 +384,4 @@ def load_plan(
     index, total = shard
     if not 0 <= index < total:
         raise ExperimentError(f"shard index {index} outside 0..{total - 1}")
-    return plan(manifest, shards=total, by=axis, balance=policy)[index]
+    return plan(manifest, shards=total)[index]

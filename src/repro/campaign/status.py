@@ -19,14 +19,19 @@ covering the whole fleet — and classified:
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from ..exceptions import ExperimentError
 from ..experiments.store import ResultStore
-from .plan import CAMPAIGN_FILE, CampaignManifest, ShardPlan, load_plan, plan
+from .plan import (
+    CAMPAIGN_FILE,
+    ShardPlan,
+    _read_plan_file,
+    _campaign_from_doc,
+    plan,
+)
 
 __all__ = [
     "ShardStatus",
@@ -118,21 +123,13 @@ def load_shard_plans(path: str | os.PathLike) -> list[ShardPlan]:
                 "the campaign manifest, or one shard_k.json"
             )
         target = campaign
-    try:
-        raw = json.loads(target.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ExperimentError(f"cannot read plan file {target}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ExperimentError(f"{target} is not a valid plan file: {exc}") from exc
+    raw = _read_plan_file(target)
     if "units" in raw:
-        return [load_plan(target)]
+        return [ShardPlan.from_dict(raw)]
     # A campaign manifest: expand and partition once — per-shard
     # load_plan calls would redo the full unit expansion per shard.
-    shards = int(raw.pop("shards", None) or 1)
-    by = str(raw.pop("by", None) or "seed")
-    balance = str(raw.pop("balance", None) or "round_robin")
-    manifest = CampaignManifest.from_dict(raw)
-    return plan(manifest, shards=shards, by=by, balance=balance)
+    manifest, count = _campaign_from_doc(target, raw)
+    return plan(manifest, shards=count or 1)
 
 
 def status_payload(rows: list[ShardStatus]) -> dict:

@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -81,15 +82,12 @@ from ._version import __version__
 from .analysis.tables import catalog_table
 from .backend import BACKEND_ENV_VAR, set_backend
 from .campaign import (
-    PLAN_AXES,
-    PLAN_BALANCES,
     CampaignManifest,
     load_plan,
     load_shard_plans,
     merge_stores,
     parse_seed_spec,
     plan,
-    run_shard,
     status_payload,
     status_rows,
     write_plans,
@@ -98,8 +96,10 @@ from .core.failure import FailureModel
 from .core.instance import ProblemInstance
 from .core.platform import Platform
 from .dag import (
+    PipelineReport,
     artifact_store_for,
     build_pipeline,
+    execute_solves,
     run_pipeline,
     unit_cost,
 )
@@ -123,6 +123,7 @@ from .live import LiveConfig, compare_reports, run_timeline, run_timeline_remote
 from .obs.summary import format_table, format_tree, load_spans, summarize_spans
 from .obs.trace import TRACE_ENV_VAR
 from .obs.trace import configure as configure_tracing
+from .obs.trace import span
 from .service.batcher import DEFAULT_MAX_BATCH, DEFAULT_WINDOW_SECONDS
 from .service.client import ServiceClient
 from .service.server import serve as serve_service
@@ -197,12 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
             "curves match the serial run exactly; MIP cells may time out "
             "under CPU oversubscription)"
         ),
-    )
-    run_parser.add_argument(
-        "--engine",
-        choices=("block", "cells"),
-        default="block",
-        help="block-scheduled engine (default) or the per-cell reference path",
     )
     run_parser.add_argument(
         "--memoize-instances",
@@ -341,21 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", default="0", metavar="SPEC", help="seed axis, e.g. '0..9' or '0,5,9'"
     )
     plan_parser.add_argument(
-        "--shards", type=int, required=True, help="number of worker shards"
-    )
-    plan_parser.add_argument(
-        "--by",
-        choices=PLAN_AXES,
-        default="seed",
-        help="partition axis: whole seeds, (figure, seed, curve) groups, or blocks",
-    )
-    plan_parser.add_argument(
-        "--balance",
-        choices=PLAN_BALANCES,
-        default="round_robin",
+        "--shards",
+        type=int,
+        required=True,
         help=(
-            "shard balancing: 'round_robin' levels unit counts, 'cost' levels "
-            "estimated durations (MIP blocks ~100x heuristic blocks, see "
+            "number of worker shards; blocks are assigned longest-first by "
+            "estimated cost (MIP blocks ~100x heuristic blocks, see "
             "repro.dag.cost)"
         ),
     )
@@ -394,18 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="K/N",
         help="which shard to run when PLAN is a campaign manifest (e.g. 2/4)",
-    )
-    shard_run_parser.add_argument(
-        "--by",
-        choices=PLAN_AXES,
-        default=None,
-        help="partition axis override when re-planning from a campaign manifest",
-    )
-    shard_run_parser.add_argument(
-        "--balance",
-        choices=PLAN_BALANCES,
-        default=None,
-        help="balancing override when re-planning from a campaign manifest",
     )
     _add_store_argument(shard_run_parser, required_hint=True)
     shard_run_parser.add_argument(
@@ -523,18 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="also show the shard partition for N worker hosts",
-    )
-    dag_plan_parser.add_argument(
-        "--by",
-        choices=PLAN_AXES,
-        default="seed",
-        help="partition axis for --shards",
-    )
-    dag_plan_parser.add_argument(
-        "--balance",
-        choices=PLAN_BALANCES,
-        default="cost",
-        help="shard balancing policy for --shards (default: cost)",
     )
     _add_store_argument(dag_plan_parser, required_hint=False)
     dag_plan_parser.set_defaults(func=_cmd_dag_plan)
@@ -806,13 +768,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     store_path = _store_path(args, required=args.resume)
-    if args.engine == "cells" and args.store is None:
-        # The per-cell reference engine has no store support; only an
-        # explicit --store should surface that as an error, not the
-        # $REPRO_STORE convenience fallback.
-        store_path = None
-    store = ResultStore(store_path) if store_path is not None else None
-    try:
+    if store_path is None:
         result = run_figure(
             args.figure,
             seed=args.seed,
@@ -822,14 +778,30 @@ def _cmd_run(args: argparse.Namespace) -> int:
             milp_time_limit=args.milp_time_limit,
             workers=args.workers,
             memoize_instances=args.memoize_instances,
-            engine=args.engine,
             include_optional=args.optional_curves,
-            store=store,
-            resume=args.resume,
         )
-    finally:
-        if store is not None:
-            store.close()
+    else:
+        # A stored run is a one-figure, one-seed campaign.  Progress goes
+        # to stderr so stdout stays byte-identical to a storeless run.
+        manifest = CampaignManifest(
+            figures=(args.figure,),
+            seeds=(args.seed,),
+            repetitions=args.repetitions,
+            max_points=args.max_points,
+            no_milp=bool(args.no_milp),
+            milp_time_limit=args.milp_time_limit,
+            optional_curves=bool(args.optional_curves),
+            workers=args.workers,
+            memoize_instances=bool(args.memoize_instances),
+        )
+        with ResultStore(store_path) as store:
+            _execute_campaign(
+                manifest,
+                store,
+                resume=args.resume,
+                log=lambda line: print(line, file=sys.stderr, flush=True),
+            )
+            (result,) = _stored_results(manifest, store)
     if args.csv:
         print(result.to_csv(), end="")
     else:
@@ -837,39 +809,56 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_campaign(manifest: CampaignManifest, store: ResultStore) -> list:
-    """Run (or finish) every (figure, seed) run of a campaign manifest.
+def _execute_campaign(
+    manifest: CampaignManifest,
+    store: ResultStore,
+    units=None,
+    *,
+    workers: int | None = None,
+    resume: bool = True,
+    log=None,
+) -> PipelineReport:
+    """Compute and store a campaign's solve stages (or only ``units``).
 
-    Since the campaign DAG landed this is a thin wrapper over
-    :func:`repro.dag.scheduler.execute_solves`: each run's solve stages
-    execute (or cache-hit) in manifest order, the store receives the
-    same cells and run headers as before, and the per-run summary lines
-    keep printing as each run completes.
+    The one helper every storing command (``run --store``, ``campaign``,
+    ``resume``, ``shard run``) goes through into
+    :func:`repro.dag.scheduler.execute_solves`; ``log`` receives one
+    progress line per finished (figure, seed) run.
     """
-    from .dag.scheduler import execute_solves
-
     pipeline = build_pipeline(manifest)
+    solves = (
+        list(pipeline.solves.values()) if units is None else pipeline.solves_for(units)
+    )
     artifacts = artifact_store_for(store.path)
-    results = []
-    for figure_id in manifest.figures:
-        scenario_hash = manifest.scenario_for(figure_id).stable_hash()
-        for seed in manifest.seeds:
-            solves = [
-                stage
-                for unit, stage in pipeline.solves.items()
-                if unit.figure_id == figure_id and unit.seed == seed
-            ]
-            execute_solves(
-                pipeline, solves, store, artifacts, workers=manifest.workers
-            )
-            result = store.load_result(
-                figure_id, scenario_hash=scenario_hash, seed=seed
-            )
-            print(summary_line(result), flush=True)
-            results.append(result)
-    artifacts.flush()
-    store.flush()
-    return results
+    try:
+        return execute_solves(
+            pipeline, solves, store, artifacts, workers=workers, resume=resume, log=log
+        )
+    finally:
+        artifacts.close()
+        store.flush()
+
+
+def _stored_results(manifest: CampaignManifest, store: ResultStore) -> list:
+    """Every (figure, seed) run of ``manifest``, rebuilt from ``store``."""
+    return [
+        store.load_result(
+            figure_id,
+            scenario_hash=manifest.scenario_for(figure_id).stable_hash(),
+            seed=seed,
+        )
+        for figure_id in manifest.figures
+        for seed in manifest.seeds
+    ]
+
+
+def _run_campaign(manifest: CampaignManifest, store: ResultStore) -> None:
+    """``campaign``/``resume``: run the manifest, then report every run."""
+    _execute_campaign(manifest, store)
+    results = _stored_results(manifest, store)
+    for result in results:
+        print(summary_line(result), flush=True)
+    print(campaign_report(results).splitlines()[-1])
 
 
 def _campaign_seeds(args: argparse.Namespace) -> tuple[int, ...]:
@@ -899,10 +888,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         json.dumps(manifest.to_dict(), indent=2), encoding="utf-8"
     )
     try:
-        results = _run_campaign(manifest, store)
+        _run_campaign(manifest, store)
     finally:
         store.close()
-    print(campaign_report(results).splitlines()[-1])
     return 0
 
 
@@ -920,10 +908,9 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     if args.workers is not None:
         manifest = dataclasses.replace(manifest, workers=args.workers)
     try:
-        results = _run_campaign(manifest, store)
+        _run_campaign(manifest, store)
     finally:
         store.close()
-    print(campaign_report(results).splitlines()[-1])
     return 0
 
 
@@ -974,14 +961,9 @@ def _cmd_shard_plan(args: argparse.Namespace) -> int:
         milp_time_limit=args.milp_time_limit,
         optional_curves=bool(args.optional_curves),
     )
-    written = write_plans(
-        manifest, args.out, shards=args.shards, by=args.by, balance=args.balance
-    )
+    written = write_plans(manifest, args.out, shards=args.shards)
     total = sum(len(shard.units) for _, shard in written)
-    print(
-        f"planned {total} work unit(s) over {len(written)} shard(s) "
-        f"by {args.by} ({args.balance}) into {args.out}"
-    )
+    print(f"planned {total} work unit(s) over {len(written)} shard(s) into {args.out}")
     for path, shard in written:
         cost = sum(unit_cost(manifest, unit) for unit in shard.units)
         print(f"  {path}  ({len(shard.units)} unit(s), est. cost {cost:.0f})")
@@ -1002,18 +984,32 @@ def _cmd_shard_run(args: argparse.Namespace) -> int:
     shard = load_plan(
         args.plan,
         shard=None if args.shard is None else _parse_shard_coords(args.shard),
-        by=args.by,
-        balance=args.balance,
     )
-    with ResultStore(_store_path(args, required=True)) as store:
-        report = run_shard(
-            shard,
+    with ResultStore(_store_path(args, required=True)) as store, span(
+        "campaign.shard",
+        shard=shard.index,
+        shards=shard.shards,
+        units=len(shard.units),
+    ) as shard_span:
+        report = _execute_campaign(
+            shard.manifest,
             store,
+            shard.units,
             workers=args.workers,
             resume=not args.no_resume,
-            log=lambda line: print(line, flush=True),
+            log=functools.partial(print, flush=True),
         )
-    print(report.summary())
+        shard_span.set(
+            computed=report.computed["solve"],
+            hits=report.hits["solve"],
+            stolen=report.stolen,
+        )
+    runs = len({(unit.figure_id, unit.seed) for unit in shard.units})
+    print(
+        f"{shard.name}: {report.computed['solve']} block(s) computed, "
+        f"{report.hits['solve']} already stored, {runs} run(s), "
+        f"{report.elapsed_seconds:.1f}s"
+    )
     return 0
 
 
@@ -1068,8 +1064,8 @@ def _cmd_dag_plan(args: argparse.Namespace) -> int:
     cost = sum(unit_cost(manifest, unit) for unit in pipeline.solves)
     print(f"{total} stage(s) ({per_kind}); est. solve cost {cost:.0f}")
     if args.shards > 1:
-        shards = plan(manifest, shards=args.shards, by=args.by, balance=args.balance)
-        print(f"partition by {args.by} ({args.balance}) over {args.shards} shard(s):")
+        shards = plan(manifest, shards=args.shards)
+        print(f"partition over {args.shards} shard(s), longest blocks first:")
         for shard in shards:
             shard_cost = sum(unit_cost(manifest, unit) for unit in shard.units)
             print(

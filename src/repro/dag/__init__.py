@@ -10,15 +10,18 @@ blocks, aggregate seeds, render exports — as an explicit DAG of
 * :mod:`repro.dag.artifacts` — the ``content key -> output`` log on the
   :class:`~repro.experiments.store.JsonlStore` base;
 * :mod:`repro.dag.cost` — calibrated per-provider cost estimates
-  (MIP ~100x a heuristic block) for shard balancing and stealing order;
-* :mod:`repro.dag.scheduler` — cache-hit execution with cost-aware
-  work stealing.
+  (MIP ~100x a heuristic block) for the LPT shard planner and the
+  stealing order;
+* :mod:`repro.dag.scheduler` — :func:`execute_solves`, the one campaign
+  executor: cache-hit execution with cost-aware work stealing, and the
+  only writer of result-store cells and run headers.
 
 Unchanged stages are cache hits: re-running an identical campaign
 performs zero block solves and reproduces its exports bit-for-bit.
-``microrepro dag plan/run/status`` is the CLI surface; the legacy
-``campaign`` and ``shard run`` commands are thin wrappers over the same
-machinery.
+``microrepro dag plan/run/status`` is the DAG's own CLI surface; every
+other command that stores figure results (``run --store``,
+``campaign``, ``resume``, ``shard run``) compiles its manifest into the
+same DAG and runs its solve stages through :func:`execute_solves`.
 """
 
 from .artifacts import ArtifactStore, artifact_store_for

@@ -2,11 +2,11 @@
 
 A campaign's solve units are wildly uneven: a MIP block at its time
 limit costs ~100x a heuristic block of the same shape, local search a
-few x, OtO somewhere between.  Round-robin sharding ignores this and
-routinely parks every MIP block on one shard; the scheduler instead
-prices each unit with calibrated per-provider estimates and balances
-shards by total estimated cost (LPT greedy), with work stealing mopping
-up whatever the estimates still get wrong.
+few x, OtO somewhere between.  Counting units would routinely park
+every MIP block on one shard; the planner instead prices each unit with
+calibrated per-provider estimates and balances shards by total
+estimated cost (LPT greedy), and the scheduler's work stealing mops up
+whatever the estimates still get wrong.
 
 The estimates are persisted in ``costs.json`` next to this module —
 the :mod:`repro.heuristics` ``thresholds.json`` pattern — as *relative*
@@ -25,9 +25,9 @@ from typing import TYPE_CHECKING
 from ..experiments.providers import LOCAL_SEARCH_SUFFIX, MIP_LABEL, OTO_LABEL
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..campaign.manifest import CampaignManifest, WorkUnit
+    from ..campaign.plan import CampaignManifest, WorkUnit
 
-__all__ = ["classify_curve", "provider_cost", "unit_cost", "plan_costs"]
+__all__ = ["classify_curve", "provider_cost", "unit_cost"]
 
 #: Fallback relative costs when ``costs.json`` is missing or unreadable.
 _DEFAULT_COSTS = {
@@ -91,7 +91,3 @@ def unit_cost(manifest: "CampaignManifest", unit: "WorkUnit") -> float:
     size = max(1.0, float(n) * float(m))
     return provider_cost(unit.curve) * scenario.repetitions * size**SIZE_EXPONENT
 
-
-def plan_costs(manifest: "CampaignManifest", units) -> list[float]:
-    """Per-unit estimated costs of ``units`` under ``manifest``."""
-    return [unit_cost(manifest, unit) for unit in units]

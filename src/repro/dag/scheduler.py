@@ -9,18 +9,23 @@ estimated cost, so no slot idles while a straggler queue still holds
 work.  It is executor-agnostic (thread pools in the benchmarks, process
 pools for real solves).
 
-:func:`run_pipeline` executes a compiled :class:`~repro.dag.pipeline.
-Pipeline` against a result store: every stage whose content key is
-already in the :class:`~repro.dag.artifacts.ArtifactStore` is a cache
-hit and is not run; legacy cell records with enough repetitions are
-adopted into the artifact log (so pre-DAG stores migrate without
-recomputing); the remaining solve stages run through the same block
-engine as the legacy paths — serial runs keep the cross-point stacking
-of :func:`~repro.experiments.runner.execute_blocks`, parallel runs
-dispatch picklable block jobs through :func:`steal_dispatch` with the
-:mod:`repro.dag.cost` estimates.  Cell records and run headers keep
-flowing into the :class:`~repro.experiments.store.ResultStore`, so
-merge/status/export work unchanged on a DAG-produced store.
+:func:`execute_solves` is the one campaign executor: every command that
+stores figure results (``run --store``, ``campaign``, ``resume``,
+``shard run`` and ``dag run``) computes and persists its cells through
+it, and nothing else writes cell records or run headers.  A solve stage
+whose content key is already in the :class:`~repro.dag.artifacts.
+ArtifactStore` is a cache hit and is not run; cell records with enough
+repetitions but no artifact (a ``store merge`` copies cells, not
+artifacts) are adopted into the artifact log without recomputing; the
+remaining stages run through the block engine — serial runs keep the
+cross-point stacking of :func:`~repro.experiments.runner.execute_blocks`,
+parallel runs dispatch picklable block jobs through
+:func:`steal_dispatch` with the :mod:`repro.dag.cost` estimates.  Every
+output lands both as an artifact and as a
+:class:`~repro.experiments.store.ResultStore` cell plus per-run header,
+so merge/status/export read any store the same way.
+:func:`run_pipeline` runs the whole DAG: the solves through
+:func:`execute_solves`, then the aggregate and render stages.
 """
 
 from __future__ import annotations
@@ -282,21 +287,20 @@ def execute_solves(
 ) -> PipelineReport:
     """Bring every stage of ``solves`` into cache, computing what's missing.
 
-    The solve phase of the DAG: artifact hits and adoptable legacy cell
-    records are skipped, the remainder runs through the block engine —
+    The solve phase of the DAG: artifact hits and adoptable cell records
+    (deep enough, but without an artifact) are skipped, the remainder runs through the block engine —
     serially with cross-point stacking per run, or in parallel through
     :func:`steal_dispatch` with cost-priced per-run queues.  Both the
     artifact log *and* the result store receive every output (cells and
     per-run :class:`RunMeta` headers), so the store stays a complete
-    legacy store.  ``log`` receives the per-run progress lines the shard
-    worker has always printed.
+    cell store.  ``log`` receives one progress line per finished run.
     """
     manifest = pipeline.manifest
     report = report if report is not None else PipelineReport()
     start = time.perf_counter()
     groups = _group_solves(solves)
 
-    # -- classify: artifact hit / legacy adoption / pending ---------------------
+    # -- classify: artifact hit / cell adoption / pending -----------------------
     pending_by_run: dict[tuple[str, int], list[SolveStage]] = {}
     for run_key, stages in groups.items():
         figure_id, seed = run_key
@@ -321,8 +325,8 @@ def execute_solves(
                 else None
             )
             if record is not None and record.repetitions >= repetitions:
-                # Pre-DAG stores migrate for free: adopt the stored cell
-                # as this stage's artifact instead of re-solving.
+                # Cells-only stores (``store merge`` copies cells, not
+                # artifacts) are adopted as artifacts instead of re-solved.
                 artifacts.put(
                     stage.key,
                     stage.name,
@@ -365,7 +369,7 @@ def execute_solves(
                 scenario=scenario.to_dict(),
                 # The run's *full* curve order (a shard may hold only a
                 # slice): the header must describe the whole run so the
-                # merged store rebuilds results (see campaign.worker).
+                # merged store rebuilds results.
                 curves=list(manifest.curves_for(figure_id)),
                 normalize_to=manifest.spec_for(figure_id).normalize_to,
                 elapsed_seconds=elapsed,

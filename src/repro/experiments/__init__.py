@@ -7,11 +7,12 @@ The experiment layer is built around three pieces:
   whole repetition blocks through the vectorized
   :class:`~repro.batch.InstanceStack` pass;
 * :mod:`~repro.experiments.runner` — the block-scheduled engine
-  (:func:`run_figure` / :func:`run_scenario`, serial or process-parallel,
-  bit-for-bit reproducible from the seed);
+  (:func:`run_figure` / :func:`run_scenario` in memory, serial or
+  process-parallel, bit-for-bit reproducible from the seed);
 * :mod:`~repro.experiments.store` — the append-only
   :class:`~repro.experiments.store.ResultStore` that makes long
-  campaigns persistent, interruptible and resumable.
+  campaigns persistent, interruptible and resumable (written by the
+  campaign scheduler, :func:`repro.dag.scheduler.execute_solves`).
 """
 
 from .figures import FIGURES, FigureSpec, figure_ids

@@ -1,8 +1,9 @@
 """Pluggable curve providers for the block-scheduled experiment engine.
 
-PR 1's runner hardcoded the curve set of every figure: ``_evaluate_cell``
-knew about heuristics, the exact MIP and the optimal one-to-one mapping,
-and re-entered Python once per (sweep point, repetition) cell.  This
+The original runner hardcoded the curve set of every figure: its
+per-cell loop knew about heuristics, the exact MIP and the optimal
+one-to-one mapping, and re-entered Python once per (sweep point,
+repetition) cell.  This
 module splits that into *curve providers* discovered through a registry
 mirroring :mod:`repro.heuristics.base`: a figure (or a CLI flag) names
 its curves, the engine resolves each name to a provider, and each

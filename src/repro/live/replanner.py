@@ -47,7 +47,7 @@ the event timestamps (never the wall clock, so it is deterministic).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -14,10 +14,8 @@ The exposition format is the Prometheus text format (``# HELP`` /
 histogram buckets) — scrapable by any Prometheus-compatible collector
 without a client-library dependency.
 
-:class:`LatencyReservoir` lives here now (relocated from
-``repro.service.metrics``, which remains as a deprecated re-export):
-nearest-rank percentiles over a ring buffer are a metric primitive, not
-a service detail.
+:class:`LatencyReservoir` lives here too: nearest-rank percentiles over
+a ring buffer are a metric primitive, not a service detail.
 """
 
 from __future__ import annotations

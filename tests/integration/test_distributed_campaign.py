@@ -1,12 +1,13 @@
 """Integration: a sharded fig5 campaign merges back bit-for-bit.
 
 The acceptance test of the distributed subsystem: plan a multi-seed
-fig5 campaign into two shards, execute each shard into its own store,
-merge the shard stores, and compare against a single-host run of the
-same manifest — every exported cell must be *bit-for-bit* identical
-(the engine's results are pure functions of ``(scenario, seed, curve,
-sweep value)`` through CRC-hashed random streams, so how the work was
-partitioned must not be observable in the data).
+fig5 campaign into 1, 2 and 3 cost-balanced shards, execute each shard
+into its own store, merge the shard stores, and compare against a
+single-host run of the same manifest — every exported cell must be
+*bit-for-bit* identical (the engine's results are pure functions of
+``(scenario, seed, curve, sweep value)`` through CRC-hashed random
+streams, so how the work was partitioned must not be observable in the
+data).
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ import math
 
 import pytest
 
-from repro.campaign import CampaignManifest, merge_stores, plan, run_shard
+from repro.campaign import CampaignManifest, merge_stores, plan
+from repro.cli import _execute_campaign as execute_campaign
 from repro.exceptions import ExperimentError
 from repro.experiments import (
     ResultStore,
     aggregate_results,
     aggregate_seeds,
-    run_figure,
 )
 
 SEEDS = (0, 1)
@@ -37,32 +38,23 @@ def manifest() -> CampaignManifest:
 
 @pytest.fixture(scope="module")
 def single_store(manifest, tmp_path_factory) -> ResultStore:
-    """The single-host reference: every (figure, seed) run into one store."""
-    store = ResultStore(tmp_path_factory.mktemp("single"))
-    for figure_id in manifest.figures:
-        for seed in manifest.seeds:
-            run_figure(
-                figure_id,
-                seed=seed,
-                repetitions=manifest.repetitions,
-                max_points=manifest.max_points,
-                store=store,
-            )
-    store.close()
+    """The single-host reference: the whole campaign into one store."""
+    with ResultStore(tmp_path_factory.mktemp("single")) as store:
+        execute_campaign(manifest, store)
     return store
 
 
-@pytest.fixture(scope="module", params=["seed", "block"])
+@pytest.fixture(scope="module", params=[1, 2, 3])
 def merged_store(request, manifest, tmp_path_factory) -> ResultStore:
-    """Two shards planned along one axis, run separately, merged back."""
-    shards = plan(manifest, shards=2, by=request.param)
+    """``N`` LPT shards, each run into its own store, merged back."""
+    shards = plan(manifest, shards=request.param)
     assert all(shard.units for shard in shards)
     shard_dirs = []
     for shard in shards:
-        shard_dir = tmp_path_factory.mktemp(f"shard{shard.index}-{request.param}")
+        shard_dir = tmp_path_factory.mktemp(f"shard{shard.index}of{shard.shards}")
         with ResultStore(shard_dir) as store:
-            report = run_shard(shard, store)
-            assert report.computed == len(shard.units)
+            report = execute_campaign(manifest, store, shard.units)
+            assert report.computed["solve"] == len(shard.units)
         shard_dirs.append(shard_dir)
     merged_dir = tmp_path_factory.mktemp(f"merged-{request.param}")
     merge_stores(merged_dir, shard_dirs)

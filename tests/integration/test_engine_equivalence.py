@@ -1,13 +1,11 @@
-"""Block-scheduled engine vs the PR 1 per-cell reference path.
+"""Block-scheduled engine vs the per-cell reference oracle.
 
 The contract under test: for the same seed, ``run_scenario`` /
-``run_figure`` produce bit-for-bit identical series whether whole
-repetition blocks are scheduled through the curve providers and the
-vectorized :class:`~repro.batch.InstanceStack` pass (``engine="block"``,
-the default) or every (sweep point, repetition) cell is scored through
-the scalar path (``engine="cells"``, PR 1's engine kept as reference) —
-serially or on a process pool.  A second battery checks that a result
-store makes runs resumable without recomputing stored blocks.
+``run_figure`` — which schedule whole repetition blocks through the
+curve providers and the vectorized :class:`~repro.batch.InstanceStack`
+pass — produce bit-for-bit the series of the scalar per-cell oracle
+(:mod:`tests.cells_oracle`, the original engine), serially or on a
+process pool.
 """
 
 from __future__ import annotations
@@ -17,8 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.exceptions import ExperimentError
-from repro.experiments import ResultStore, run_figure, run_scenario
+from repro.experiments import run_figure, run_scenario
 from repro.experiments import providers as providers_module
 from repro.experiments.figures import FIGURES
 from repro.experiments.providers import CellBlock, HeuristicProvider
@@ -26,6 +23,7 @@ from repro.generators import ScenarioConfig
 from repro.heuristics import get_heuristic, supports_batch
 from repro.heuristics.base import batch_solve_min_repetitions
 from repro.simulation.rng import RandomStreamFactory
+from tests.cells_oracle import run_cells, run_figure_cells
 
 
 def _series_payload(result):
@@ -71,8 +69,8 @@ class TestBlockVsCells:
     def test_custom_scenario_identical(self):
         scenario = _small_scenario()
         _assert_identical(
-            run_scenario(scenario, seed=11, engine="cells"),
-            run_scenario(scenario, seed=11, engine="block"),
+            run_cells(scenario, seed=11),
+            run_scenario(scenario, seed=11),
         )
 
     def test_custom_scenario_with_exact_baselines(self):
@@ -83,19 +81,19 @@ class TestBlockVsCells:
             heuristics=("H2", "H4w"),
             task_dependent_failures=True,
         )
-        cells = run_scenario(
-            scenario, seed=3, engine="cells", include_milp=True, include_one_to_one=True
+        cells = run_cells(
+            scenario, seed=3, include_milp=True, include_one_to_one=True
         )
         block = run_scenario(
-            scenario, seed=3, engine="block", include_milp=True, include_one_to_one=True
+            scenario, seed=3, include_milp=True, include_one_to_one=True
         )
         _assert_identical(cells, block)
         assert cells.milp_failures == block.milp_failures
 
     def test_fig9_reduced_identical(self):
         _assert_identical(
-            run_figure("fig9", seed=5, repetitions=2, max_points=2, engine="cells"),
-            run_figure("fig9", seed=5, repetitions=2, max_points=2, engine="block"),
+            run_figure_cells("fig9", seed=5, repetitions=2, max_points=2),
+            run_figure("fig9", seed=5, repetitions=2, max_points=2),
         )
 
     def test_fig10_reduced_identical(self):
@@ -104,67 +102,48 @@ class TestBlockVsCells:
         # test_custom_scenario_with_exact_baselines keeps a cheap
         # MILP-inclusive equivalence check in tier 1.
         _assert_identical(
-            run_figure(
-                "fig10", seed=1, repetitions=2, max_points=2, engine="cells",
-                include_milp=False,
+            run_figure_cells(
+                "fig10", seed=1, repetitions=2, max_points=2, include_milp=False
             ),
             run_figure(
-                "fig10", seed=1, repetitions=2, max_points=2, engine="block",
-                include_milp=False,
+                "fig10", seed=1, repetitions=2, max_points=2, include_milp=False
             ),
         )
 
     @pytest.mark.slow
     def test_fig10_reduced_identical_including_milp(self):
         _assert_identical(
-            run_figure(
-                "fig10", seed=1, repetitions=2, max_points=2, engine="cells"
-            ),
-            run_figure(
-                "fig10", seed=1, repetitions=2, max_points=2, engine="block"
-            ),
+            run_figure_cells("fig10", seed=1, repetitions=2, max_points=2),
+            run_figure("fig10", seed=1, repetitions=2, max_points=2),
         )
 
     @pytest.mark.slow
     def test_fig5_reduced_identical(self):
         _assert_identical(
-            run_figure("fig5", seed=7, repetitions=2, max_points=2, engine="cells"),
-            run_figure("fig5", seed=7, repetitions=2, max_points=2, engine="block"),
+            run_figure_cells("fig5", seed=7, repetitions=2, max_points=2),
+            run_figure("fig5", seed=7, repetitions=2, max_points=2),
         )
 
     def test_parallel_block_matches_serial_block(self):
         scenario = _small_scenario()
         _assert_identical(
-            run_scenario(scenario, seed=11, engine="block"),
-            run_scenario(scenario, seed=11, engine="block", workers=2),
+            run_scenario(scenario, seed=11),
+            run_scenario(scenario, seed=11, workers=2),
         )
 
     def test_parallel_block_matches_parallel_cells(self):
         scenario = _small_scenario(repetitions=3)
         _assert_identical(
-            run_scenario(scenario, seed=23, engine="cells", workers=2),
-            run_scenario(scenario, seed=23, engine="block", workers=2),
+            run_cells(scenario, seed=23, workers=2),
+            run_scenario(scenario, seed=23, workers=2),
         )
 
     def test_memoized_block_run_is_identical(self):
         scenario = _small_scenario(repetitions=2)
         _assert_identical(
-            run_scenario(scenario, seed=9, engine="block"),
-            run_scenario(scenario, seed=9, engine="block", memoize_instances=True),
+            run_scenario(scenario, seed=9),
+            run_scenario(scenario, seed=9, memoize_instances=True),
         )
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ExperimentError):
-            run_scenario(_small_scenario(), engine="warp")
-
-    def test_cells_engine_rejects_block_only_features(self, tmp_path):
-        scenario = _small_scenario()
-        with pytest.raises(ExperimentError):
-            run_scenario(scenario, engine="cells", extra_curves=("H4ls",))
-        with pytest.raises(ExperimentError):
-            run_scenario(
-                scenario, engine="cells", store=ResultStore(tmp_path / "s")
-            )
 
 
 class TestBatchSolveEquivalence:
@@ -210,9 +189,9 @@ class TestBatchSolveEquivalence:
                 return _original(self, instances)
 
             monkeypatch.setattr(cls, "solve_batch", counting)
-        block = run_scenario(scenario, seed=29, engine="block")
+        block = run_scenario(scenario, seed=29)
         assert sorted(set(calls)) == ["H2", "H4w"]
-        cells = run_scenario(scenario, seed=29, engine="cells")
+        cells = run_cells(scenario, seed=29)
         _assert_identical(cells, block)
 
 
@@ -242,8 +221,8 @@ class TestCrossPointStacking:
     def test_types_sweep_identical_to_cells(self):
         scenario = self._types_scenario()
         _assert_identical(
-            run_scenario(scenario, seed=7, engine="cells"),
-            run_scenario(scenario, seed=7, engine="block"),
+            run_cells(scenario, seed=7),
+            run_scenario(scenario, seed=7),
         )
 
     def test_aligned_points_solve_in_one_batch_call(self, monkeypatch):
@@ -258,7 +237,7 @@ class TestCrossPointStacking:
                 return _original(self, instances)
 
             monkeypatch.setattr(cls, "solve_batch", counting)
-        run_scenario(scenario, seed=7, engine="block")
+        run_scenario(scenario, seed=7)
         rows = len(scenario.sweep_values) * scenario.repetitions
         assert sorted(calls) == [("H2", rows), ("H4w", rows)]
 
@@ -318,8 +297,8 @@ class TestBatchFallback:
             repetitions=batch_solve_min_repetitions("H4w"),
             heuristics=("H1", "RoundRobin", "H4w"),
         )
-        cells = run_scenario(scenario, seed=31, engine="cells")
-        block = run_scenario(scenario, seed=31, engine="block", workers=2)
+        cells = run_cells(scenario, seed=31)
+        block = run_scenario(scenario, seed=31, workers=2)
         _assert_identical(cells, block)
 
     def test_fallback_provider_solves_blocks_directly(self):
@@ -352,79 +331,4 @@ class TestOptionalCurves:
         for label in plain.series:
             assert (
                 plain.series[label].samples == extended.series[label].samples
-            )
-
-
-class TestStoreResume:
-    def test_resume_skips_stored_blocks(self, tmp_path, monkeypatch):
-        scenario = _small_scenario(repetitions=2)
-        with ResultStore(tmp_path / "s") as store:
-            first = run_scenario(scenario, seed=4, figure_id="figE", store=store)
-
-        sampled = []
-        original = providers_module.CellBlock.sample.__func__
-
-        def counting(cls, *args, **kwargs):
-            sampled.append(args[1])
-            return original(cls, *args, **kwargs)
-
-        monkeypatch.setattr(
-            providers_module.CellBlock, "sample", classmethod(counting)
-        )
-        with ResultStore(tmp_path / "s") as store:
-            second = run_scenario(
-                scenario, seed=4, figure_id="figE", store=store, resume=True
-            )
-        assert sampled == []  # nothing recomputed
-        _assert_identical(first, second)
-
-    def test_resume_only_computes_missing_blocks(self, tmp_path):
-        scenario = _small_scenario(repetitions=2)
-        full = run_scenario(scenario, seed=4, figure_id="figE")
-        with ResultStore(tmp_path / "s") as store:
-            run_scenario(scenario, seed=4, figure_id="figE", store=store)
-            # Drop one stored block from the index: only that block reruns.
-            key = next(k for k in store._cells if "|H2|9" in k)
-            del store._cells[key]
-            resumed = run_scenario(
-                scenario, seed=4, figure_id="figE", store=store, resume=True
-            )
-        _assert_identical(full, resumed)
-
-    def test_resume_with_different_seed_recomputes(self, tmp_path):
-        scenario = _small_scenario(repetitions=2, heuristics=("H4w",))
-        with ResultStore(tmp_path / "s") as store:
-            run_scenario(scenario, seed=4, figure_id="figE", store=store)
-            other = run_scenario(
-                scenario, seed=5, figure_id="figE", store=store, resume=True
-            )
-        fresh = run_scenario(scenario, seed=5, figure_id="figE")
-        _assert_identical(other, fresh)
-
-    def test_stored_blocks_serve_smaller_repetition_counts(self, tmp_path):
-        big = _small_scenario(repetitions=4, heuristics=("H4w",))
-        small = _small_scenario(repetitions=2, heuristics=("H4w",))
-        with ResultStore(tmp_path / "s") as store:
-            run_scenario(big, seed=4, figure_id="figE", store=store)
-            resumed = run_scenario(
-                small, seed=4, figure_id="figE", store=store, resume=True
-            )
-        fresh = run_scenario(small, seed=4, figure_id="figE")
-        _assert_identical(resumed, fresh)
-
-    def test_parallel_run_with_store_matches_serial(self, tmp_path):
-        scenario = _small_scenario(repetitions=3)
-        with ResultStore(tmp_path / "s") as store:
-            parallel = run_scenario(
-                scenario, seed=13, figure_id="figP", store=store, workers=2
-            )
-        serial = run_scenario(scenario, seed=13, figure_id="figP")
-        _assert_identical(parallel, serial)
-        with ResultStore(tmp_path / "s") as store:
-            assert store.load_result("figP").seed == 13
-
-    def test_store_requires_seed(self, tmp_path):
-        with pytest.raises(ExperimentError):
-            run_scenario(
-                _small_scenario(), seed=None, store=ResultStore(tmp_path / "s")
             )

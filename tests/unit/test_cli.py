@@ -132,15 +132,76 @@ class TestRunCommand:
         assert code == 0
         assert "H4ls" in capsys.readouterr().out
 
-    def test_run_cells_engine(self, capsys):
-        code = main(
-            [
-                "run", "fig6", "--repetitions", "1", "--max-points", "2",
-                "--seed", "0", "--no-milp", "--engine", "cells",
-            ]
-        )
-        assert code == 0
-        assert "== fig6 ==" in capsys.readouterr().out
+    def test_run_store_prints_the_storeless_bytes(self, tmp_path, capsys):
+        args = [
+            "run", "fig5", "--seed", "0", "--repetitions", "2",
+            "--max-points", "2", "--csv",
+        ]
+        assert main(args) == 0
+        storeless = capsys.readouterr().out
+        assert main([*args, "--store", str(tmp_path / "d")]) == 0
+        stored = capsys.readouterr()
+        assert stored.out == storeless
+        assert "fig5 seed=0: 12 block(s) computed, 0 stored" in stored.err
+
+    def test_run_store_resume_computes_zero_blocks(self, tmp_path, capsys):
+        args = [
+            "run", "fig6", "--seed", "1", "--repetitions", "2", "--max-points", "2",
+            "--no-milp", "--store", str(tmp_path / "d"),
+        ]
+        assert main(args) == 0
+        first = capsys.readouterr()
+        assert main([*args, "--resume"]) == 0
+        again = capsys.readouterr()
+        assert "fig6 seed=1: 0 block(s) computed" in again.err
+
+        def table(text: str) -> list[str]:
+            # Drop the summary line: it carries the run's elapsed seconds.
+            return [line for line in text.splitlines() if "reps x" not in line]
+
+        assert table(again.out) == table(first.out)
+
+    def test_deeper_stored_run_serves_a_shallower_one(self, tmp_path, capsys):
+        # Instance draws do not depend on R, so R=4 cells serve an R=2 run.
+        base = ["run", "fig6", "--seed", "0", "--max-points", "2", "--no-milp", "--csv"]
+        main([*base, "--repetitions", "2"])
+        storeless = capsys.readouterr().out
+        store = ["--store", str(tmp_path / "d")]
+        main([*base, "--repetitions", "4", *store])
+        capsys.readouterr()
+        assert main([*base, "--repetitions", "2", *store, "--resume"]) == 0
+        shallow = capsys.readouterr()
+        assert "0 block(s) computed" in shallow.err
+        assert shallow.out == storeless
+
+    def test_run_store_with_workers_matches_serial(self, tmp_path, capsys):
+        args = [
+            "run", "fig6", "--seed", "2", "--repetitions", "2", "--max-points", "2",
+            "--no-milp", "--csv",
+        ]
+        main(args)
+        serial = capsys.readouterr().out
+        main([*args, "--store", str(tmp_path / "d"), "--workers", "2"])
+        assert capsys.readouterr().out == serial
+
+    @pytest.mark.parametrize(
+        "removed",
+        [
+            ["run", "fig6", "--engine", "cells"],
+            ["shard", "plan", "fig6", "--shards", "2", "--out", "p", "--by", "seed"],
+            ["shard", "plan", "fig6", "--shards", "2", "--out", "p", "--balance", "cost"],
+            ["shard", "run", "p/shard_0.json", "--by", "seed"],
+            ["shard", "run", "p/shard_0.json", "--balance", "cost"],
+            ["dag", "plan", "fig6", "--by", "seed"],
+            ["dag", "plan", "fig6", "--balance", "cost"],
+        ],
+        ids=lambda argv: "-".join(argv[:2] + argv[-2:-1]),
+    )
+    def test_removed_flags_are_rejected(self, removed, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(removed)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_run_resume_requires_store(self, monkeypatch, capsys):
         monkeypatch.delenv(STORE_ENV_VAR, raising=False)
@@ -360,7 +421,7 @@ class TestCampaignCommands:
 
 def _plan_args(out_dir, extra=()) -> list[str]:
     return [
-        "shard", "plan", "fig6", "--seeds", "0..1", "--shards", "2", "--by", "block",
+        "shard", "plan", "fig6", "--seeds", "0..1", "--shards", "2",
         "--out", str(out_dir), "--repetitions", "1", "--max-points", "2", "--no-milp",
         *extra,
     ]
@@ -421,6 +482,23 @@ class TestShardCommands:
         )
         assert code == 0
         assert "shard 1/2" in capsys.readouterr().out
+
+    def test_shard_run_rejects_a_campaign_planned_by_seed(self, tmp_path, capsys):
+        out = tmp_path / "plans"
+        main(_plan_args(out))
+        campaign = out / "campaign.json"
+        doc = json.loads(campaign.read_text())
+        campaign.write_text(json.dumps(dict(doc, by="seed")))
+        capsys.readouterr()
+        code = main(
+            [
+                "shard", "run", str(campaign), "--shard", "0/2",
+                "--store", str(tmp_path / "s"),
+            ]
+        )
+        assert code == 2
+        assert "re-run 'shard plan'" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_shard_run_rejects_bad_coordinates(self, tmp_path, capsys):
         out = tmp_path / "plans"

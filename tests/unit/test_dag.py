@@ -6,7 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.campaign import CampaignManifest, expand_units, plan
+from repro.campaign import CampaignManifest, expand_units, merge_stores, plan
+from repro.cli import _execute_campaign as execute_campaign
 from repro.dag import (
     ArtifactStore,
     DispatchReport,
@@ -27,6 +28,7 @@ from repro.dag.stage import (
 )
 from repro.exceptions import ExperimentError
 from repro.experiments.providers import MIP_LABEL
+from repro.experiments.runner import run_figure
 from repro.experiments.store import CellRecord, ResultStore
 
 
@@ -140,38 +142,32 @@ class TestCostBalancedPlan:
         # spreads the expensive blocks.
         manifest = _manifest(figures=("fig10",), no_milp=False, seeds=(0,))
 
-        def spread(shards):
+        def spread(unit_lists):
             loads = [
-                sum(unit_cost(manifest, unit) for unit in shard.units)
-                for shard in shards
+                sum(unit_cost(manifest, unit) for unit in units)
+                for units in unit_lists
             ]
             return max(loads) - min(loads)
 
-        naive = plan(manifest, shards=3, by="block", balance="round_robin")
-        balanced = plan(manifest, shards=3, by="block", balance="cost")
+        units = expand_units(manifest)
+        naive = [units[index::3] for index in range(3)]
+        balanced = [shard.units for shard in plan(manifest, shards=3)]
         assert spread(balanced) < spread(naive)
 
     def test_cost_balance_keeps_canonical_unit_order(self):
         manifest = _manifest(no_milp=False, seeds=(0, 1))
         rank = {unit: i for i, unit in enumerate(expand_units(manifest))}
-        for shard in plan(manifest, shards=2, by="block", balance="cost"):
+        for shard in plan(manifest, shards=2):
             ranks = [rank[unit] for unit in shard.units]
             assert ranks == sorted(ranks)
 
     def test_partition_is_disjoint_and_complete(self):
         manifest = _manifest(no_milp=False, seeds=(0, 1, 2))
-        shards = plan(manifest, shards=3, by="seed", balance="cost")
+        shards = plan(manifest, shards=3)
         merged = [unit for shard in shards for unit in shard.units]
         assert sorted(merged, key=lambda u: str(u)) == sorted(
             expand_units(manifest), key=lambda u: str(u)
         )
-        # by=seed keeps whole seeds together whatever the balance policy.
-        for shard in shards:
-            assert len({unit.seed for unit in shard.units}) <= 1
-
-    def test_unknown_balance_rejected(self):
-        with pytest.raises(ExperimentError):
-            plan(_manifest(), shards=2, balance="nope")
 
 
 class TestStealDispatch:
@@ -302,24 +298,27 @@ class TestRunPipeline:
         assert second.renders == first.renders
         store.close()
 
-    def test_legacy_store_is_adopted_without_resolving(self, tmp_path):
-        from repro.experiments.runner import run_figure
-
+    def test_merged_cells_only_store_is_adopted_without_solving(self, tmp_path):
+        # `store merge` copies cells and run headers but not artifacts:
+        # the DAG adopts the merged cells as solve hits.
         manifest = _manifest()
-        store = ResultStore(tmp_path / "s")
-        legacy = run_figure(
+        with ResultStore(tmp_path / "shard") as shard_store:
+            execute_campaign(manifest, shard_store)
+        merge_stores(tmp_path / "merged", [tmp_path / "shard"])
+        assert not (tmp_path / "merged" / "artifacts").exists()
+        store = ResultStore(tmp_path / "merged")
+        run = run_pipeline(build_pipeline(manifest), store)
+        assert run.report.computed["solve"] == 0
+        assert run.report.hits["solve"] == len(expand_units(manifest))
+        # The DAG's per-seed render is byte-identical to an in-memory run.
+        reference = run_figure(
             "fig5",
             seed=0,
             repetitions=manifest.repetitions,
             max_points=manifest.max_points,
             include_milp=False,
-            store=store,
         )
-        run = run_pipeline(build_pipeline(manifest), store)
-        assert run.report.computed["solve"] == 0
-        assert run.report.hits["solve"] == len(expand_units(manifest))
-        # The DAG's per-seed render is byte-identical to the legacy result.
-        assert run.renders["fig5"]["per_seed"]["0"] == legacy.to_csv()
+        assert run.renders["fig5"]["per_seed"]["0"] == reference.to_csv()
         store.close()
 
     def test_no_resume_recomputes_solves(self, tmp_path):
@@ -342,8 +341,8 @@ class TestRunPipeline:
 
 
 def test_dag_package_imports_first():
-    # repro.dag and repro.campaign import each other (the worker wraps
-    # the DAG scheduler); `import repro.dag` in a fresh interpreter —
+    # repro.dag and repro.campaign import each other (the planner prices
+    # units with the DAG cost model); `import repro.dag` in a fresh interpreter —
     # i.e. *before* repro.campaign — must not hit a circular import.
     import subprocess
     import sys

@@ -88,10 +88,14 @@ class TestMetricsPrimitives:
         assert histogram.count == 4
         assert histogram.sum == pytest.approx(5.515)
 
-    def test_latency_reservoir_relocated_with_deprecated_alias(self):
-        from repro.service.metrics import LatencyReservoir as aliased
+    def test_latency_reservoir_lives_only_in_obs(self):
+        import importlib
 
-        assert aliased is LatencyReservoir
+        import repro.service.server as server
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.service.metrics")
+        assert "LatencyReservoir" not in server.__all__
         reservoir = LatencyReservoir(size=4)
         for value in (1.0, 2.0, 3.0, 4.0, 5.0):  # wraps: 5.0 evicts 1.0
             reservoir.add(value)
@@ -349,6 +353,37 @@ class TestPropagation:
         stage_keys = {record["key"] for record in by_name["dag.stage"]}
         pipeline = build_pipeline(manifest)
         assert {s.key for s in pipeline.generates.values()} <= stage_keys
+
+    def test_traced_shard_run_is_rooted_at_campaign_shard(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        plans = tmp_path / "plans"
+        assert main(
+            [
+                "shard", "plan", "fig6", "--seeds", "0..1", "--shards", "2",
+                "--out", str(plans), "--repetitions", "1", "--max-points", "2",
+                "--no-milp",
+            ]
+        ) == 0
+        monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "traces"))
+        try:
+            assert main(
+                [
+                    "shard", "run", str(plans / "shard_1.json"),
+                    "--store", str(tmp_path / "s1"),
+                ]
+            ) == 0
+        finally:
+            trace.disable()
+        capsys.readouterr()
+        spans = load_spans(tmp_path / "traces")
+        (root,) = [record for record in spans if record["parent_id"] is None]
+        assert root["name"] == "campaign.shard"
+        assert (root["shard"], root["shards"]) == (1, 2)
+        assert root["units"] > 0
+        assert root["computed"] == root["units"]
+        assert root["hits"] == 0 and root["stolen"] == 0
+        assert all(record["trace_id"] == root["trace_id"] for record in spans)
 
     def test_http_request_trace_links_batcher_pool_and_cache(self, tmp_path):
         trace.configure(tmp_path / "traces")

@@ -15,19 +15,17 @@ from repro.heuristics.base import batch_solve_min_repetitions
 
 # The micro-batcher's crossover for the heuristic used by make_payload.
 BATCH_THRESHOLD = batch_solve_min_repetitions("H4w")
+from repro.obs.metrics import LatencyReservoir
 from repro.service import (
-    LatencyReservoir,
     MicroBatcher,
     ServiceStats,
     SolveCache,
     SolveCacheStore,
     SolveService,
+    ServiceClient,
     SolveWorkerPool,
     direct_response,
-    get_json,
     normalize_request,
-    service_stats,
-    solve_remote,
 )
 
 
@@ -373,20 +371,19 @@ class TestSolveService:
         async def scenario():
             service = SolveService(port=0, window=0.001)
             await service.start()
-            url = service.url
+            client = ServiceClient(service.url, retries=0)
             payload = make_payload(seed=2)
             try:
                 response = await self.request_in_executor(
-                    lambda: solve_remote(url, payload)
+                    lambda: client.solve(payload)
                 )
                 duplicate = await self.request_in_executor(
-                    lambda: solve_remote(url, payload)
+                    lambda: client.solve(payload)
                 )
-                stats = await self.request_in_executor(lambda: service_stats(url))
-                health = await self.request_in_executor(
-                    lambda: get_json(url + "/healthz")
-                )
+                stats = await self.request_in_executor(client.stats)
+                health = await self.request_in_executor(client.healthz)
             finally:
+                client.close()
                 await service.stop()
             return payload, response, duplicate, stats, health
 
@@ -404,20 +401,17 @@ class TestSolveService:
         async def scenario():
             service = SolveService(port=0, window=0.001)
             await service.start()
-            url = service.url
+            client = ServiceClient(service.url, retries=0)
             try:
                 with pytest.raises(ExperimentError, match="unknown heuristic"):
                     await self.request_in_executor(
-                        lambda: solve_remote(
-                            url, make_payload(heuristic="NoSuchHeuristic")
-                        )
+                        lambda: client.solve(make_payload(heuristic="NoSuchHeuristic"))
                     )
                 with pytest.raises(ExperimentError, match="no such endpoint"):
-                    await self.request_in_executor(
-                        lambda: get_json(url + "/nowhere")
-                    )
-                stats = await self.request_in_executor(lambda: service_stats(url))
+                    await self.request_in_executor(lambda: client.get("/nowhere"))
+                stats = await self.request_in_executor(client.stats)
             finally:
+                client.close()
                 await service.stop()
             return stats
 
@@ -433,14 +427,13 @@ class TestSolveService:
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", service.port
                 )
-                writer.write(b"POST /solve HTTP/1.1\r\nContent-Length: abc\r\n\r\n")
+                writer.write(b"POST /v1/solve HTTP/1.1\r\nContent-Length: abc\r\n\r\n")
                 await writer.drain()
                 await reader.read()  # the bad connection is dropped...
                 writer.close()
                 # ...but the server survives and keeps answering.
-                health = await self.request_in_executor(
-                    lambda: get_json(service.url + "/healthz")
-                )
+                with ServiceClient(service.url) as client:
+                    health = await self.request_in_executor(client.healthz)
             finally:
                 await service.stop()
             return health
@@ -456,14 +449,15 @@ class TestSolveService:
 
             service.batcher.submit = boom
             await service.start()
-            url = service.url
+            client = ServiceClient(service.url, retries=0)
             try:
                 with pytest.raises(ExperimentError, match="kernel exploded"):
                     await self.request_in_executor(
-                        lambda: solve_remote(url, make_payload())
+                        lambda: client.solve(make_payload())
                     )
-                stats = await self.request_in_executor(lambda: service_stats(url))
+                stats = await self.request_in_executor(client.stats)
             finally:
+                client.close()
                 await service.stop()
             return stats
 
@@ -479,9 +473,10 @@ class TestSolveService:
             service = SolveService(port=0, window=0.001, cache_dir=cache_dir)
             await service.start()
             try:
-                return await self.request_in_executor(
-                    lambda: solve_remote(service.url, payload)
-                )
+                with ServiceClient(service.url, retries=0) as client:
+                    return await self.request_in_executor(
+                        lambda: client.solve(payload)
+                    )
             finally:
                 await service.stop()
 
@@ -489,9 +484,10 @@ class TestSolveService:
             service = SolveService(port=0, window=0.001, cache_dir=cache_dir)
             await service.start()
             try:
-                return await self.request_in_executor(
-                    lambda: solve_remote(service.url, payload)
-                )
+                with ServiceClient(service.url, retries=0) as client:
+                    return await self.request_in_executor(
+                        lambda: client.solve(payload)
+                    )
             finally:
                 await service.stop()
 
@@ -552,17 +548,16 @@ class TestSolveWorkerPool:
         async def scenario():
             service = SolveService(port=0, window=0.001, workers=2)
             await service.start()
-            url = service.url
+            client = ServiceClient(service.url, retries=0)
             payload = make_payload(seed=5)
             loop = asyncio.get_running_loop()
             try:
                 response = await loop.run_in_executor(
-                    None, lambda: solve_remote(url, payload)
+                    None, lambda: client.solve(payload)
                 )
-                stats = await loop.run_in_executor(
-                    None, lambda: service_stats(url)
-                )
+                stats = await loop.run_in_executor(None, client.stats)
             finally:
+                client.close()
                 await service.stop()
             return payload, response, stats
 
@@ -630,15 +625,16 @@ class TestAdmissionControl:
         shed_hints = []
 
         def ask(url, payload):
-            while True:
-                try:
-                    return solve_remote(url, payload)
-                except ServiceOverloadedError as exc:
-                    # The server's Retry-After header reached the client.
-                    assert exc.retry_after_seconds is not None
-                    assert exc.retry_after_seconds >= 1
-                    shed_hints.append(exc.retry_after_seconds)
-                    time.sleep(0.2)
+            with ServiceClient(url, retries=0) as client:
+                while True:
+                    try:
+                        return client.solve(payload)
+                    except ServiceOverloadedError as exc:
+                        # The server's Retry-After header reached the client.
+                        assert exc.retry_after_seconds is not None
+                        assert exc.retry_after_seconds >= 1
+                        shed_hints.append(exc.retry_after_seconds)
+                        time.sleep(0.2)
 
         async def scenario():
             service = SolveService(port=0, window=0.3, max_pending=1)
@@ -653,9 +649,8 @@ class TestAdmissionControl:
                         for payload in payloads
                     )
                 )
-                stats = await loop.run_in_executor(
-                    None, lambda: service_stats(url)
-                )
+                with ServiceClient(url) as client:
+                    stats = await loop.run_in_executor(None, client.stats)
             finally:
                 await service.stop()
             return payloads, responses, stats
@@ -680,18 +675,17 @@ class TestDeadlines:
         async def scenario():
             service = SolveService(port=0, window=5.0)
             await service.start()
-            url = service.url
+            client = ServiceClient(service.url, retries=0)
             payload = make_payload(seed=71, deadline_ms=100)
             loop = asyncio.get_running_loop()
             try:
                 with pytest.raises(ExperimentError, match="deadline of 100 ms"):
                     await loop.run_in_executor(
-                        None, lambda: solve_remote(url, payload)
+                        None, lambda: client.solve(payload)
                     )
-                stats = await loop.run_in_executor(
-                    None, lambda: service_stats(url)
-                )
+                stats = await loop.run_in_executor(None, client.stats)
             finally:
+                client.close()
                 # stop() drains the batcher: the group the 504'd request
                 # left behind still solves and lands in the cache.
                 await service.stop()
@@ -714,9 +708,10 @@ class TestDeadlines:
             payload = make_payload(seed=72, deadline_ms=20000)
             loop = asyncio.get_running_loop()
             try:
-                return payload, await loop.run_in_executor(
-                    None, lambda: solve_remote(service.url, payload)
-                )
+                with ServiceClient(service.url, retries=0) as client:
+                    return payload, await loop.run_in_executor(
+                        None, lambda: client.solve(payload)
+                    )
             finally:
                 await service.stop()
 
@@ -808,14 +803,14 @@ class TestWaiterLifecycle:
             service = SolveService(port=0, window=10.0)
             await service.start()
             payload = make_payload(seed=81)
-            url = service.url
-            pending = asyncio.get_running_loop().run_in_executor(
-                None, lambda: solve_remote(url, payload)
-            )
-            while not service.batcher._inflight:  # parked in the window
-                await asyncio.sleep(0.005)
-            await service.stop()
-            return payload, await pending
+            with ServiceClient(service.url, retries=0) as client:
+                pending = asyncio.get_running_loop().run_in_executor(
+                    None, lambda: client.solve(payload)
+                )
+                while not service.batcher._inflight:  # parked in the window
+                    await asyncio.sleep(0.005)
+                await service.stop()
+                return payload, await pending
 
         payload, response = run(asyncio.wait_for(scenario(), timeout=30.0))
         reference = direct_response(normalize_request(payload))

@@ -17,10 +17,8 @@ from repro.service import (
     ServiceClient,
     SessionManager,
     SolveService,
-    get_json,
     normalize_event,
     normalize_session_request,
-    solve_remote,
 )
 
 
@@ -403,37 +401,38 @@ class TestVersionedAPI:
 
         return run(scenario())
 
-    def test_v1_and_legacy_routes_answer_identically(self):
+    def test_unversioned_routes_are_no_longer_served(self):
         payload = make_session_payload()
 
         async def inner(service):
-            legacy = await self.request_in_executor(
-                lambda: raw_http(service.url, "POST", "/solve", payload)
-            )
-            versioned = await self.request_in_executor(
-                lambda: raw_http(service.url, "POST", "/v1/solve", payload)
-            )
-            return legacy, versioned
+            return [
+                await self.request_in_executor(
+                    lambda method=method, path=path: raw_http(
+                        service.url, method, path, payload if method == "POST" else None
+                    )
+                )
+                for method, path in (
+                    ("POST", "/solve"), ("GET", "/stats"), ("GET", "/healthz")
+                )
+            ]
 
-        legacy, versioned = self.with_service(inner)
-        assert legacy[0] == versioned[0] == 200
-        assert legacy[2]["assignment"] == versioned[2]["assignment"]
-        assert legacy[2]["key"] == versioned[2]["key"]
+        for status, headers, body in self.with_service(inner):
+            assert status == 404
+            assert body["error"]["code"] == "not_found"
+            assert "Deprecation" not in headers
 
-    def test_legacy_aliases_carry_the_deprecation_header(self):
+    def test_v1_routes_carry_no_deprecation_header(self):
         async def inner(service):
             results = {}
-            for path in ("/stats", "/healthz", "/v1/stats", "/v1/healthz"):
+            for path in ("/v1/stats", "/v1/healthz"):
                 results[path] = await self.request_in_executor(
                     lambda p=path: raw_http(service.url, "GET", p)
                 )
             return results
 
-        results = self.with_service(inner)
-        for path in ("/stats", "/healthz"):
-            assert results[path][1].get("Deprecation") == "true", path
-        for path in ("/v1/stats", "/v1/healthz"):
-            assert "Deprecation" not in results[path][1], path
+        for path, (status, headers, _) in self.with_service(inner).items():
+            assert status == 200, path
+            assert "Deprecation" not in headers, path
 
     def test_unknown_routes_get_404_envelopes(self):
         async def inner(service):
@@ -494,17 +493,15 @@ class TestVersionedAPI:
         assert sessions["replans"]["cold"] >= 1
         assert 0.0 <= sessions["availability"] <= 1.0
 
-    def test_legacy_client_helpers_still_work(self):
+    def test_client_without_retries_calls_work(self):
         payload = make_session_payload()
 
         async def inner(service):
-            url = service.url
-            response = await self.request_in_executor(
-                lambda: solve_remote(url, payload)
-            )
-            health = await self.request_in_executor(
-                lambda: get_json(url + "/healthz")
-            )
+            with ServiceClient(service.url, retries=0) as client:
+                response = await self.request_in_executor(
+                    lambda: client.solve(payload)
+                )
+                health = await self.request_in_executor(client.healthz)
             return response, health
 
         response, health = self.with_service(inner)
