@@ -21,8 +21,10 @@ import time
 import pytest
 
 from repro.backend import numba_status, use_backend
-from repro.experiments import CellBlock, HeuristicProvider
+from repro.experiments import CellBlock
 from repro.generators import ScenarioConfig
+from repro.heuristics import get_heuristic
+from repro.heuristics.base import solve_stack
 from repro.heuristics.local_search import refine_specialized_batch
 from repro.simulation.rng import RandomStreamFactory
 
@@ -61,7 +63,7 @@ def _time(fn, repeats=3):
 def test_numba_refine_speedup(block):
     """Acceptance: numba >= 1.5x numpy on the batched H4ls descent."""
     with use_backend("numpy"):
-        seeds = HeuristicProvider("H4w", batch=True).solve_block(block)
+        seeds = solve_stack(get_heuristic("H4w"), block.instances, batch=True)
 
         def numpy_refine():
             return refine_specialized_batch(block.instances, seeds)
@@ -89,7 +91,7 @@ def test_numba_refine_speedup(block):
 def test_bench_batch_refine_numba(benchmark, block):
     """The refine gate benchmark on the numba backend (baseline-optional)."""
     with use_backend("numba"):
-        seeds = HeuristicProvider("H4w", batch=True).solve_block(block)
+        seeds = solve_stack(get_heuristic("H4w"), block.instances, batch=True)
         refine_specialized_batch(block.instances, seeds)  # JIT warm-up
         refined, moves = benchmark(
             refine_specialized_batch, block.instances, seeds

@@ -29,6 +29,8 @@ import pytest
 from repro.core import Mapping, evaluate
 from repro.experiments import CellBlock, HeuristicProvider, run_scenario
 from repro.generators import ScenarioConfig
+from repro.heuristics import get_heuristic
+from repro.heuristics.base import solve_stack
 from repro.simulation.rng import RandomStreamFactory
 from tests.cells_oracle import run_cells
 
@@ -69,8 +71,7 @@ def _time(fn, repeats=3):
 
 def test_block_scoring_speedup_at_r50(scenario, block):
     """Acceptance: the stack scoring pass >= 3x over R scalar evaluations."""
-    provider = HeuristicProvider("H4w")
-    assignments = provider.solve_block(block)
+    assignments = solve_stack(get_heuristic("H4w"), block.instances)
 
     def scalar_scoring():
         return [
@@ -106,13 +107,17 @@ def test_batch_solve_speedup_at_r50(block):
     per_curve = {}
     total_batch = total_loop = 0.0
     for name in BATCHABLE_HEURISTICS:
-        batch_provider = HeuristicProvider(name, batch=True)
-        loop_provider = HeuristicProvider(name, batch=False)
-        assert (
-            batch_provider.solve_block(block) == loop_provider.solve_block(block)
-        ).all(), name  # bit-for-bit
-        batch_time = _time(lambda: batch_provider.solve_block(block))
-        loop_time = _time(lambda: loop_provider.solve_block(block))
+        heuristic = get_heuristic(name)
+
+        def batch_solve():
+            return solve_stack(heuristic, block.instances, batch=True)
+
+        def loop_solve():
+            return solve_stack(heuristic, block.instances, batch=False)
+
+        assert (batch_solve() == loop_solve()).all(), name  # bit-for-bit
+        batch_time = _time(batch_solve)
+        loop_time = _time(loop_solve)
         per_curve[name] = (loop_time, batch_time)
         total_batch += batch_time
         total_loop += loop_time
@@ -143,7 +148,7 @@ def test_batch_refine_speedup_at_r50(block):
         refine_specialized_batch,
     )
 
-    seeds = HeuristicProvider("H4w", batch=True).solve_block(block)
+    seeds = solve_stack(get_heuristic("H4w"), block.instances, batch=True)
 
     def loop_refine():
         return [
@@ -187,8 +192,7 @@ def test_end_to_end_engines_report(scenario):
 
 
 def test_bench_block_scoring(benchmark, block):
-    provider = HeuristicProvider("H4w")
-    assignments = provider.solve_block(block)
+    assignments = solve_stack(get_heuristic("H4w"), block.instances)
     periods = benchmark(block.stack.periods, assignments)
     assert periods.shape == (R,)
 
@@ -206,15 +210,17 @@ def test_bench_block_pipeline(benchmark, scenario):
 
 def test_bench_batch_solve_greedy(benchmark, block):
     """Lock-step H4w solve of one R=50 block (greedy family kernel)."""
-    provider = HeuristicProvider("H4w", batch=True)
-    assignments = benchmark(provider.solve_block, block)
+    assignments = benchmark(
+        solve_stack, get_heuristic("H4w"), block.instances, batch=True
+    )
     assert assignments.shape == (R, block.stack.num_tasks)
 
 
 def test_bench_batch_solve_binary_search(benchmark, block):
     """Lock-step H2 solve of one R=50 block (binary-search family kernel)."""
-    provider = HeuristicProvider("H2", batch=True)
-    assignments = benchmark(provider.solve_block, block)
+    assignments = benchmark(
+        solve_stack, get_heuristic("H2"), block.instances, batch=True
+    )
     assert assignments.shape == (R, block.stack.num_tasks)
 
 
@@ -222,7 +228,7 @@ def test_bench_batch_refine(benchmark, block):
     """Lock-step H4ls descent of one R=50 block (active-row subsetting)."""
     from repro.heuristics.local_search import refine_specialized_batch
 
-    seeds = HeuristicProvider("H4w", batch=True).solve_block(block)
+    seeds = solve_stack(get_heuristic("H4w"), block.instances, batch=True)
     refined, moves = benchmark(refine_specialized_batch, block.instances, seeds)
     assert refined.shape == (R, block.stack.num_tasks)
     assert int(moves.sum()) > 0

@@ -21,9 +21,13 @@ batcher — the traffic shape the production-hardening PR optimizes for.
 from __future__ import annotations
 
 import asyncio
+import functools
 import time
+from unittest import mock
 
+from repro.heuristics.base import solve_stack
 from repro.service import MicroBatcher, direct_response, normalize_request
+from repro.service import pool
 
 #: Concurrent compatible requests, per the acceptance criterion.
 CONCURRENCY = 32
@@ -64,19 +68,24 @@ def _serve_all(requests, *, batch: bool) -> list[dict]:
 
     No cache — every round must actually solve (the benchmark measures
     solving, not dict lookups).  The window is wide enough that all 32
-    requests always land in one group on both paths; ``batch`` is then
-    the only difference.
+    requests always land in one group on both paths.  A 32-deep group
+    clears the crossover, so the batched arm is the production routing;
+    the per-request arm pins the group's ``solve_stack`` to the loop
+    (``batch=False``), which is then the only difference.
     """
 
     async def scenario():
-        batcher = MicroBatcher(
-            window=0.05, max_batch=CONCURRENCY, batch=batch, cache=None
-        )
+        batcher = MicroBatcher(window=0.05, max_batch=CONCURRENCY, cache=None)
         return await asyncio.gather(
             *(batcher.submit(request) for request in requests)
         )
 
-    return asyncio.run(scenario())
+    if batch:
+        return asyncio.run(scenario())
+    with mock.patch.object(
+        pool, "solve_stack", functools.partial(solve_stack, batch=False)
+    ):
+        return asyncio.run(scenario())
 
 
 def _time(fn, repeats=3):
@@ -143,15 +152,14 @@ def _mixed_requests():
 def _serve_mixed(requests) -> list[dict]:
     """One sustained round: every mixed request through one batcher.
 
-    Production knobs: the batch/fallback crossover decides per group
-    (``batch=None``) and no cache — a sustained-load benchmark must
-    measure solving under concurrency, not lookups.  64 requests per
-    signature means each group flushes on the ``max_batch`` size
-    trigger, not the window.
+    Production routing: the batch/fallback crossover decides per group,
+    and no cache — a sustained-load benchmark must measure solving under
+    concurrency, not lookups.  64 requests per signature means each
+    group flushes on the ``max_batch`` size trigger, not the window.
     """
 
     async def scenario():
-        batcher = MicroBatcher(window=0.05, batch=None, cache=None)
+        batcher = MicroBatcher(window=0.05, cache=None)
         return await asyncio.gather(
             *(batcher.submit(request) for request in requests)
         )

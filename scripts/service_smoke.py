@@ -39,6 +39,9 @@ through a 2-process worker pool, and asserts:
   group and to the pool worker's solve under one trace id — across the
   process boundary.
 
+Every phase stops its server with SIGTERM and fails unless the server's
+pool workers exit with it (no orphaned worker processes).
+
 Exit code 0 on success; any assertion or timeout kills the server and
 exits non-zero.  Runs from a source checkout::
 
@@ -51,6 +54,7 @@ import json
 import os
 import queue
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -166,12 +170,49 @@ def start_server(*extra_args: str) -> tuple[subprocess.Popen, str]:
     )
 
 
+def _stat_fields(pid: int) -> list[str] | None:
+    """``/proc/<pid>/stat`` after the command name (state, ppid, ...)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return stat.rsplit(")", 1)[1].split()
+
+
+def child_pids(pid: int) -> set[int]:
+    """PIDs of ``pid``'s live child processes (a server's pool workers)."""
+    children = set()
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            fields = _stat_fields(int(entry.name))
+            if fields is not None and int(fields[1]) == pid and fields[0] != "Z":
+                children.add(int(entry.name))
+    return children
+
+
+def has_exited(pid: int) -> bool:
+    """True once ``pid`` is gone (a zombie awaiting its reaper counts)."""
+    fields = _stat_fields(pid)
+    return fields is None or fields[0] == "Z"
+
+
 def stop_server(process: subprocess.Popen) -> None:
+    """SIGTERM the server; fail unless it and its pool workers exit."""
+    workers = child_pids(process.pid)
     process.terminate()
     try:
         process.wait(timeout=10)
     except subprocess.TimeoutExpired:
         process.kill()
+        process.wait()
+    deadline = time.time() + 10
+    while not all(has_exited(pid) for pid in workers) and time.time() < deadline:
+        time.sleep(0.05)
+    orphans = sorted(pid for pid in workers if not has_exited(pid))
+    if orphans:
+        for pid in orphans:
+            os.kill(pid, signal.SIGKILL)
+        raise RuntimeError(f"server exited but left worker(s) {orphans} running")
 
 
 def check_equivalence(requests: list[dict], responses: list[dict]) -> int:

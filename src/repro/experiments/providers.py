@@ -14,11 +14,11 @@ repetitions of one sweep point, stacked into a
 Built-in providers
 ------------------
 * :class:`HeuristicProvider` — any registered heuristic; solves the
-  ``R`` mappings in one lock-step ``solve_batch`` call when the
-  heuristic implements :class:`~repro.heuristics.BatchHeuristic`
-  (falling back to the per-instance loop otherwise) and scores them in
-  a single vectorized stack pass (bit-for-bit identical to ``R``
-  sequential solve + scalar evaluation calls);
+  ``R`` mappings through :func:`~repro.heuristics.base.solve_stack`
+  (which alone picks the lock-step ``solve_batch`` kernel or the
+  per-instance loop) and scores them in a single vectorized stack pass
+  (bit-for-bit identical to ``R`` sequential solve + scalar evaluation
+  calls);
 * :class:`LocalSearchProvider` — best-single-move refinement of any base
   heuristic's mapping (curve label ``"<base>+ls"``);
 * :class:`MilpProvider` — the exact specialized MIP (label ``"MIP"``);
@@ -45,7 +45,7 @@ from ..exact.one_to_one import optimal_one_to_one
 from ..exceptions import ExperimentError, ReproError, SolverError
 from ..generators.scenarios import ScenarioConfig, sample_instance
 from ..heuristics import get_heuristic
-from ..heuristics.base import batch_solve_min_repetitions, solve_stack
+from ..heuristics.base import solve_stack, takes_batch_path
 from ..heuristics.local_search import refine_specialized, refine_specialized_batch
 from ..simulation.rng import RandomStreamFactory
 
@@ -74,10 +74,6 @@ MIP_LABEL = "MIP"
 OTO_LABEL = "OtO"
 #: Curve-label suffix resolved to a :class:`LocalSearchProvider`.
 LOCAL_SEARCH_SUFFIX = "+ls"
-# The batch/per-instance crossover moved to repro.heuristics.base when the
-# routing became provider-agnostic (the solve service's micro-batcher uses
-# the same solve_stack entry and the crossover is now calibrated per
-# heuristic; see repro.heuristics.base.batch_solve_min_repetitions).
 
 #: Row cap for one cross-point stacked solve.  Signature-aligned blocks
 #: are concatenated up to this many repetitions per kernel pass; beyond
@@ -255,74 +251,63 @@ class CurveProvider(abc.ABC):
         return f"{type(self).__name__}(label={self.label!r})"
 
 
+def _stacked(
+    chunk: Sequence[CellBlock],
+) -> tuple[Sequence[ProblemInstance], InstanceStack]:
+    """A chunk's instances and their scoring stack (a lone block's own)."""
+    if len(chunk) == 1:
+        return chunk[0].instances, chunk[0].stack
+    instances = [inst for block in chunk for inst in block.instances]
+    return instances, InstanceStack.from_instances(
+        instances, require_uniform_types=False
+    )
+
+
+def _score_chunks(
+    label: str,
+    blocks: Sequence[CellBlock],
+    score: Callable[[Sequence[CellBlock]], np.ndarray],
+) -> list[BlockResult]:
+    """``score`` each signature-aligned chunk; per-block results in input order."""
+    out: dict[int, BlockResult] = {}
+    for chunk in _aligned_chunks(blocks):
+        for block, periods in _split_periods(chunk, score(chunk)):
+            out[id(block)] = BlockResult(label=label, periods=periods)
+    return [out[id(block)] for block in blocks]
+
+
 class HeuristicProvider(CurveProvider):
     """Curve provider wrapping one registered heuristic.
 
-    When the heuristic implements the
-    :class:`~repro.heuristics.BatchHeuristic` protocol (the greedy H4
-    family, the binary-search H2/H3, H4ls), the whole block is solved in
-    one lock-step ``solve_batch`` call; otherwise (randomized heuristics
-    such as H1, or third-party heuristics without a batch kernel) the
-    mappings are produced per instance exactly as before.  Either way the
-    block's periods come from one vectorized stack pass, and both paths
-    are bit-for-bit identical to ``R`` sequential solve + evaluate calls.
+    Signature-aligned blocks are solved together in one
+    :func:`~repro.heuristics.base.solve_stack` entry — one lock-step
+    ``solve_batch`` call when the heuristic implements
+    :class:`~repro.heuristics.BatchHeuristic` and the stack clears its
+    crossover, the per-instance loop otherwise — and scored in one
+    vectorized stack pass.  Both paths are bit-for-bit identical to
+    ``R`` sequential solve + evaluate calls.
 
     Parameters
     ----------
     name:
         Registered heuristic name (also the curve label).
-    batch:
-        ``None`` (default) batch-solves blocks of at least
-        :data:`BATCH_SOLVE_MIN_REPETITIONS` repetitions — below the
-        crossover, array-op overhead makes lock-step slower than the
-        plain loop.  ``True``/``False`` force one path (tests,
-        benchmarks); results are identical either way.
     """
 
-    def __init__(self, name: str, *, batch: bool | None = None):
+    def __init__(self, name: str):
         self._heuristic = get_heuristic(name)
-        self._batch = batch
         # Keep the *requested* spelling: it is both the series key and the
         # RNG stream label, which the per-cell runner derived from the
         # scenario's declared name.
         self.label = name
 
-    def _use_batch_rows(self, rows: int) -> bool:
-        if self._batch is not None:
-            return self._batch
-        return rows >= batch_solve_min_repetitions(
-            getattr(self._heuristic, "name", None)
-        )
-
-    def _use_batch(self, block: CellBlock) -> bool:
-        return self._use_batch_rows(block.repetitions)
-
-    def solve_block(self, block: CellBlock) -> np.ndarray:
-        """The ``(R, n)`` assignment array of the heuristic over the block.
-
-        Routing (lock-step ``solve_batch`` above the depth crossover,
-        per-instance loop below it or for heuristics without a kernel)
-        lives in :func:`repro.heuristics.base.solve_stack`, the same
-        entry the solve service's micro-batcher uses; per-repetition RNG
-        streams keep the per-cell runner's labels.
-        """
-        return solve_stack(
-            self._heuristic,
-            block.instances,
-            lambda repetition: block.streams.stream(
-                f"heuristic/{self.label}/{block.sweep_value}", repetition
-            ),
-            batch=self._use_batch(block),
-        )
-
     def solve_blocks(self, chunk: Sequence[CellBlock]) -> np.ndarray:
-        """Concatenated assignments over signature-aligned blocks.
+        """Concatenated ``(sum(R), n)`` assignments over aligned blocks.
 
-        One ``solve_stack`` entry for ``sum(R)`` rows; the batch/loop
-        crossover is decided on the *total* depth, so shallow sweep
-        points that would each fall below the per-heuristic threshold
-        still ride the lock-step kernels together.  Every row keeps its
-        own block's RNG stream label, so results are bit-for-bit the
+        One ``solve_stack`` entry for all rows, so the batch/loop
+        crossover is decided on the *total* depth: shallow sweep points
+        that would each fall below it still ride the lock-step kernels
+        together.  Every row keeps its own block's RNG stream label
+        (the per-cell runner's), so results are bit-for-bit the
         per-block ones.
         """
         instances = [inst for block in chunk for inst in block.instances]
@@ -338,49 +323,32 @@ class HeuristicProvider(CurveProvider):
                 f"heuristic/{self.label}/{block.sweep_value}", repetition
             )
 
-        return solve_stack(
-            self._heuristic,
-            instances,
-            stream,
-            batch=self._use_batch_rows(len(instances)),
-        )
+        return solve_stack(self._heuristic, instances, stream)
 
     def evaluate_block(self, block: CellBlock) -> BlockResult:
-        periods = block.stack.periods(self.solve_block(block))
-        return BlockResult(label=self.label, periods=periods)
+        return self.evaluate_blocks([block])[0]
 
     def evaluate_blocks(self, blocks: Sequence[CellBlock]) -> list[BlockResult]:
-        out: dict[int, BlockResult] = {}
-        for chunk in _aligned_chunks(blocks):
-            if len(chunk) == 1:
-                out[id(chunk[0])] = self.evaluate_block(chunk[0])
-                continue
-            instances = [inst for block in chunk for inst in block.instances]
-            stack = InstanceStack.from_instances(
-                instances, require_uniform_types=False
-            )
-            periods = stack.periods(self.solve_blocks(chunk))
-            for block, block_periods in _split_periods(chunk, periods):
-                out[id(block)] = BlockResult(
-                    label=self.label, periods=block_periods
-                )
-        return [out[id(block)] for block in blocks]
+        def score(chunk):
+            _, stack = _stacked(chunk)
+            return stack.periods(self.solve_blocks(chunk))
+
+        return _score_chunks(self.label, blocks, score)
 
 
 class LocalSearchProvider(CurveProvider):
     """Best-single-move refinement of a base heuristic's mapping.
 
-    The curve labelled ``"<base>+ls"`` runs the base heuristic per
-    repetition, descends with
-    :func:`repro.heuristics.local_search.refine_specialized`, and keeps
-    the better of seed and refined mapping per instance (so the curve is
+    The curve labelled ``"<base>+ls"`` solves the base heuristic, descends
+    with :func:`repro.heuristics.local_search.refine_specialized` (one
+    lock-step :func:`~repro.heuristics.local_search.refine_specialized_batch`
+    descent when the base's solve takes the batch path), and keeps the
+    better of seed and refined mapping per instance (so the curve is
     never above the base's).
     """
 
-    def __init__(
-        self, base: str = "H4w", label: str | None = None, *, batch: bool | None = None
-    ):
-        self._base = HeuristicProvider(base, batch=batch)
+    def __init__(self, base: str = "H4w", label: str | None = None):
+        self._base = HeuristicProvider(base)
         self.label = label if label is not None else f"{base}{LOCAL_SEARCH_SUFFIX}"
 
     @property
@@ -389,45 +357,22 @@ class LocalSearchProvider(CurveProvider):
         return self._base.label
 
     def evaluate_block(self, block: CellBlock) -> BlockResult:
-        seeds = self._base.solve_block(block)
-        if self._base._use_batch(block):
-            # One lock-step descent across the whole block (bit-for-bit
-            # the per-repetition refine_specialized loop below).
-            refined, _ = refine_specialized_batch(block.instances, seeds)
-        else:
-            refined = np.empty_like(seeds)
-            for repetition, instance in enumerate(block.instances):
-                mapping, _ = refine_specialized(instance, seeds[repetition])
-                refined[repetition] = mapping.as_array
-        periods = np.minimum(
-            block.stack.periods(refined), block.stack.periods(seeds)
-        )
-        return BlockResult(label=self.label, periods=periods)
+        return self.evaluate_blocks([block])[0]
 
     def evaluate_blocks(self, blocks: Sequence[CellBlock]) -> list[BlockResult]:
-        out: dict[int, BlockResult] = {}
-        for chunk in _aligned_chunks(blocks):
-            if len(chunk) == 1:
-                out[id(chunk[0])] = self.evaluate_block(chunk[0])
-                continue
-            instances = [inst for block in chunk for inst in block.instances]
+        def score(chunk):
+            instances, stack = _stacked(chunk)
             seeds = self._base.solve_blocks(chunk)
-            if self._base._use_batch_rows(len(instances)):
+            if takes_batch_path(self._base._heuristic, len(instances)):
                 refined, _ = refine_specialized_batch(instances, seeds)
             else:
                 refined = np.empty_like(seeds)
                 for row, instance in enumerate(instances):
                     mapping, _ = refine_specialized(instance, seeds[row])
                     refined[row] = mapping.as_array
-            stack = InstanceStack.from_instances(
-                instances, require_uniform_types=False
-            )
-            periods = np.minimum(stack.periods(refined), stack.periods(seeds))
-            for block, block_periods in _split_periods(chunk, periods):
-                out[id(block)] = BlockResult(
-                    label=self.label, periods=block_periods
-                )
-        return [out[id(block)] for block in blocks]
+            return np.minimum(stack.periods(refined), stack.periods(seeds))
+
+        return _score_chunks(self.label, blocks, score)
 
 
 class MilpProvider(CurveProvider):

@@ -56,6 +56,7 @@ __all__ = [
     "BATCH_SOLVE_THRESHOLDS",
     "batch_solve_min_repetitions",
     "supports_batch",
+    "takes_batch_path",
     "solve_one",
     "solve_stack",
     "validate_assignments",
@@ -67,9 +68,8 @@ __all__ = [
 
 #: Default smallest stack depth at which the lock-step batch solvers beat
 #: the per-instance loop (both paths are bit-for-bit identical, so this is
-#: purely a scheduling choice).  Shared by the block engine's curve
-#: providers and the solve service's micro-batcher; heuristics with an
-#: empirically measured crossover override it through
+#: purely a scheduling choice, made by :func:`takes_batch_path`);
+#: heuristics with an empirically measured crossover override it through
 #: :data:`BATCH_SOLVE_THRESHOLDS` / :func:`batch_solve_min_repetitions`.
 BATCH_SOLVE_MIN_REPETITIONS = 8
 
@@ -621,15 +621,30 @@ def solve_one(
 ) -> np.ndarray:
     """Feasibility-checked, validated single solve; the ``(n,)`` assignment.
 
-    The scalar counterpart of :func:`solve_stack`: both the block engine's
-    per-instance fallback and the solve service's unbatched path go
-    through this entry, so every consumer applies the same feasibility
-    check and mapping-rule validation.
+    The scalar counterpart of :func:`solve_stack`: its per-instance loop
+    and the solve service's direct reference solve go through this
+    entry, so every consumer applies the same feasibility check and
+    mapping-rule validation.
     """
     heuristic.check_feasible(instance)
     mapping, _, _ = heuristic.solve_mapping(instance, rng)
     mapping.validate(instance, heuristic.rule)
     return mapping.as_array
+
+
+def takes_batch_path(heuristic: Heuristic, rows: int) -> bool:
+    """Whether a stack of ``rows`` instances is solved by ``solve_batch``.
+
+    The one batch-or-loop decision: the heuristic implements
+    :class:`BatchHeuristic` and the stack is at least its calibrated
+    :func:`batch_solve_min_repetitions` deep.  Below the crossover the
+    array-op overhead of the lock-step kernels outweighs their
+    amortization and the per-instance loop is faster; results are
+    bit-for-bit identical either way.
+    """
+    return supports_batch(heuristic) and rows >= batch_solve_min_repetitions(
+        getattr(heuristic, "name", None)
+    )
 
 
 def solve_stack(
@@ -641,14 +656,12 @@ def solve_stack(
 ) -> np.ndarray:
     """Solve a stack of structurally identical instances; ``(R, n)`` int64.
 
-    The provider-agnostic routing entry shared by the experiment engine's
-    :class:`~repro.experiments.providers.HeuristicProvider` and the solve
-    service's micro-batcher: when ``heuristic`` implements
-    :class:`BatchHeuristic` and the stack is at least the heuristic's
-    :func:`batch_solve_min_repetitions` deep (or ``batch=True`` forces
-    it), the whole stack is solved in one lock-step ``solve_batch`` call;
-    otherwise each instance is solved through :func:`solve_one`.  Row
-    ``r`` is bit-for-bit identical either way.
+    The only place that routes a solve: the experiment engine's curve
+    providers and the solve service's worker groups both call it.  When
+    :func:`takes_batch_path` holds, the whole stack is solved in one
+    lock-step ``solve_batch`` call; otherwise each instance is solved
+    through :func:`solve_one`.  Row ``r`` is bit-for-bit identical
+    either way.
 
     Parameters
     ----------
@@ -662,18 +675,15 @@ def solve_stack(
         per-instance path (randomized heuristics); ``None`` passes no
         generator, which deterministic heuristics ignore.
     batch:
-        ``None`` (default) applies the depth crossover;
-        ``True``/``False`` force one path (tests, benchmarks).
+        ``None`` (default) applies :func:`takes_batch_path`;
+        ``True``/``False`` force one path (tests, benchmarks).  A
+        heuristic without a batch kernel always loops.
     """
     if not instances:
         raise ReproError("cannot solve an empty instance stack")
-    use_batch = (
-        batch
-        if batch is not None
-        else len(instances)
-        >= batch_solve_min_repetitions(getattr(heuristic, "name", None))
-    )
-    if use_batch and supports_batch(heuristic):
+    if batch is None:
+        batch = takes_batch_path(heuristic, len(instances))
+    if batch and supports_batch(heuristic):
         for instance in instances:
             heuristic.check_feasible(instance)
         assignments = heuristic.solve_batch(instances)

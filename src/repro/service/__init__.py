@@ -17,9 +17,10 @@ Layers (one module each):
 * :mod:`~repro.service.requests` — request schema, normalisation,
   content-address hashing, the direct reference path;
 * :mod:`~repro.service.batcher` — window-based grouping, coalescing,
-  ``solve_stack`` routing, admission control;
+  admission control;
 * :mod:`~repro.service.pool` — the multi-process solve-worker pool
-  (the picklable group-solve function + its executor);
+  (the picklable group-solve function, one ``solve_stack`` entry per
+  group, + its executor);
 * :mod:`~repro.service.cache` — the two-tier response cache
   (size-bounded persistent tier with compaction + eviction);
 * :mod:`~repro.service.sessions` — live replanning sessions

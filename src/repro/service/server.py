@@ -48,6 +48,7 @@ import contextlib
 import json
 import math
 import re
+import signal
 import time
 
 from .._version import __version__
@@ -198,7 +199,7 @@ class SolveService:
     host, port:
         Bind address; ``port=0`` picks a free port (``self.port`` holds
         the effective one after :meth:`start`).
-    window, max_batch, batch:
+    window, max_batch:
         Micro-batcher knobs (see
         :class:`~repro.service.batcher.MicroBatcher`).
     cache_dir:
@@ -236,7 +237,6 @@ class SolveService:
         port: int = 0,
         window: float = DEFAULT_WINDOW_SECONDS,
         max_batch: int = DEFAULT_MAX_BATCH,
-        batch: bool | None = None,
         cache_dir: str | None = None,
         cache_capacity: int = 1024,
         cache_max_bytes: int | None = None,
@@ -268,7 +268,6 @@ class SolveService:
         self.batcher = MicroBatcher(
             window=window,
             max_batch=max_batch,
-            batch=batch,
             cache=self.cache,
             pool=self.pool,
             max_pending=max_pending,
@@ -698,6 +697,12 @@ def _announce(line: str) -> None:
 
 async def _serve_async(service: SolveService, *, announce=_announce) -> None:
     await service.start()
+    # SIGTERM shuts down like Ctrl-C: cancelling this task runs the
+    # finally below, whose stop() drains the batcher and shuts the worker
+    # pool down (the default SIGTERM action would orphan the workers).
+    asyncio.get_running_loop().add_signal_handler(
+        signal.SIGTERM, asyncio.current_task().cancel
+    )
     announce(
         f"solve service listening on {service.url} "
         "(POST /v1/solve, POST /v1/session, GET /v1/stats)"
@@ -724,7 +729,10 @@ def serve(
     trace: str | None = None,
     announce=_announce,
 ) -> None:
-    """Blocking entry point: run a solve service until interrupted.
+    """Blocking entry point: run a solve service until SIGINT or SIGTERM.
+
+    Either signal stops it gracefully through :meth:`SolveService.stop`:
+    in-flight groups are answered and the worker pool is shut down.
 
     Announces the effective URL on stdout once the socket is bound
     (``port=0`` binds a free port), which is what ``microrepro serve``
@@ -751,5 +759,5 @@ def serve(
     )
     try:
         asyncio.run(_serve_async(service, announce=announce))
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
+    except (KeyboardInterrupt, asyncio.CancelledError):  # SIGINT / SIGTERM
         pass

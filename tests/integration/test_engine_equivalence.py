@@ -21,7 +21,7 @@ from repro.experiments.figures import FIGURES
 from repro.experiments.providers import CellBlock, HeuristicProvider
 from repro.generators import ScenarioConfig
 from repro.heuristics import get_heuristic, supports_batch
-from repro.heuristics.base import batch_solve_min_repetitions
+from repro.heuristics.base import batch_solve_min_repetitions, solve_stack
 from repro.simulation.rng import RandomStreamFactory
 from tests.cells_oracle import run_cells, run_figure_cells
 
@@ -161,10 +161,11 @@ class TestBatchSolveEquivalence:
         block = CellBlock.sample(scenario, sweep_value, RandomStreamFactory(21))
         covered = 0
         for name in scenario.heuristics:
-            if not supports_batch(get_heuristic(name)):
+            heuristic = get_heuristic(name)
+            if not supports_batch(heuristic):
                 continue  # H1: randomized, stays on the per-instance path
-            batched = HeuristicProvider(name, batch=True).solve_block(block)
-            looped = HeuristicProvider(name, batch=False).solve_block(block)
+            batched = solve_stack(heuristic, block.instances, batch=True)
+            looped = solve_stack(heuristic, block.instances, batch=False)
             assert (batched == looped).all(), (figure_id, name)
             covered += 1
         assert covered >= 3  # H2/H3 and at least one H4-family curve

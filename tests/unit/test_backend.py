@@ -40,7 +40,9 @@ from repro.backend import (
 from repro.backend import numpy_backend
 from repro.exceptions import ReproError
 from repro.experiments.figures import FIGURES
-from repro.experiments.providers import CellBlock, HeuristicProvider
+from repro.experiments.providers import CellBlock
+from repro.heuristics import get_heuristic
+from repro.heuristics.base import solve_stack
 from repro.simulation.rng import RandomStreamFactory
 
 #: Every batch-capable heuristic of the paper set (H1 is randomized and
@@ -257,8 +259,9 @@ def scalar_references(figure_blocks) -> dict[tuple[str, str], np.ndarray]:
     with use_backend("numpy"):
         for figure_id, block in figure_blocks.items():
             for name in BATCH_HEURISTICS:
-                provider = HeuristicProvider(name, batch=False)
-                references[(figure_id, name)] = provider.solve_block(block)
+                references[(figure_id, name)] = solve_stack(
+                    get_heuristic(name), block.instances, batch=False
+                )
     return references
 
 
@@ -273,7 +276,9 @@ class TestSolverEquivalence:
     ):
         block = figure_blocks[figure_id]
         with use_backend(backend_name):
-            batched = HeuristicProvider(heuristic, batch=True).solve_block(block)
+            batched = solve_stack(
+                get_heuristic(heuristic), block.instances, batch=True
+            )
         assert (batched == scalar_references[(figure_id, heuristic)]).all()
 
     def test_periods_match_across_backends(

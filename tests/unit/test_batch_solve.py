@@ -7,10 +7,13 @@ the assignment that ``solve_mapping`` produces on the corresponding
 instance — bit for bit, including binary-search trajectories and
 local-search move sequences.  A second battery covers the stacked
 incremental evaluator, the provider-level wiring (auto threshold,
-validation, fallback) and the hoisted binary-search period bound.
+validation, fallback), the hoisted binary-search period bound, and the
+one batch-or-loop routing decision every consumer follows.
 """
 
 from __future__ import annotations
+
+import asyncio
 
 import numpy as np
 import pytest
@@ -18,14 +21,19 @@ import pytest
 from repro.batch.incremental import MappingEvaluator, StackMappingEvaluator
 from repro.exceptions import InvalidMappingError, MappingRuleViolation, ReproError
 from repro.experiments.providers import (
-    batch_solve_min_repetitions,
     CellBlock,
     HeuristicProvider,
     LocalSearchProvider,
 )
+from repro.experiments import providers as providers_module
 from repro.generators import ScenarioConfig
 from repro.heuristics import get_heuristic, supports_batch
-from repro.heuristics.base import BatchAssignmentState
+from repro.heuristics.base import (
+    BatchAssignmentState,
+    batch_solve_min_repetitions,
+    solve_stack,
+    takes_batch_path,
+)
 from repro.heuristics.binary_search import (
     RankBinarySearchHeuristic,
     worst_case_period_bound,
@@ -36,6 +44,8 @@ from repro.heuristics.local_search import (
     specialized_move_mask,
     specialized_move_mask_batch,
 )
+from repro.obs.metrics import MetricsRegistry
+from repro.service import MicroBatcher, normalize_request
 from repro.simulation.rng import RandomStreamFactory
 
 BATCHABLE = ("H2", "H3", "H4", "H4w", "H4f", "H4ls")
@@ -312,8 +322,9 @@ class TestProviderWiring:
     def test_forced_paths_agree(self):
         block = make_block(repetitions=4)
         for name in ("H2", "H4w", "H4ls"):
-            batched = HeuristicProvider(name, batch=True).solve_block(block)
-            looped = HeuristicProvider(name, batch=False).solve_block(block)
+            heuristic = get_heuristic(name)
+            batched = solve_stack(heuristic, block.instances, batch=True)
+            looped = solve_stack(heuristic, block.instances, batch=False)
             assert (batched == looped).all(), name
 
     def test_auto_threshold_switches_on_block_depth(self, monkeypatch):
@@ -327,10 +338,10 @@ class TestProviderWiring:
 
         monkeypatch.setattr(type(heuristic), "solve_batch", counting)
         small = make_block(repetitions=batch_solve_min_repetitions("H4w") - 1)
-        HeuristicProvider("H4w").solve_block(small)
+        HeuristicProvider("H4w").evaluate_block(small)
         assert calls == []
         big = make_block(repetitions=batch_solve_min_repetitions("H4w"))
-        HeuristicProvider("H4w").solve_block(big)
+        HeuristicProvider("H4w").evaluate_block(big)
         assert calls == [batch_solve_min_repetitions("H4w")]
 
     def test_fallback_for_heuristic_without_solve_batch(self):
@@ -351,10 +362,90 @@ class TestProviderWiring:
 
         monkeypatch.setattr(type(heuristic), "solve_batch", corrupted)
         with pytest.raises(MappingRuleViolation):
-            HeuristicProvider("H4w", batch=True).solve_block(block)
+            solve_stack(heuristic, block.instances, batch=True)
 
     def test_local_search_provider_paths_agree(self):
         block = make_block(num_machines=10, num_types=2, num_tasks=15, repetitions=4)
-        batched = LocalSearchProvider("H4w", batch=True).evaluate_block(block)
-        looped = LocalSearchProvider("H4w", batch=False).evaluate_block(block)
-        assert (batched.periods == looped.periods).all()
+        assert block.repetitions >= batch_solve_min_repetitions("H4w")
+        batched = LocalSearchProvider("H4w").evaluate_block(block)
+        seeds = solve_stack(get_heuristic("H4w"), block.instances, batch=False)
+        refined = np.stack(
+            [
+                refine_specialized(instance, seeds[row])[0].as_array
+                for row, instance in enumerate(block.instances)
+            ]
+        )
+        looped = np.minimum(block.stack.periods(refined), block.stack.periods(seeds))
+        assert (batched.periods == looped).all()
+
+
+class TestRouting:
+    """Every consumer takes the path ``takes_batch_path`` names, at and
+    just below each heuristic's crossover depth."""
+
+    @pytest.mark.parametrize("offset", [-1, 0], ids=["below", "at"])
+    @pytest.mark.parametrize("name", BATCHABLE)
+    def test_consumers_follow_the_one_predicate(self, monkeypatch, name, offset):
+        heuristic = get_heuristic(name)
+        depth = batch_solve_min_repetitions(name) + offset
+        batched = takes_batch_path(heuristic, depth)
+        assert batched is (offset == 0)
+        calls = []
+        solve_batch = type(heuristic).solve_batch
+
+        def counting(self, instances):
+            calls.append(len(instances))
+            return solve_batch(self, instances)
+
+        monkeypatch.setattr(type(heuristic), "solve_batch", counting)
+        refines = []
+        refine_batch = providers_module.refine_specialized_batch
+
+        def counting_refine(instances, seeds):
+            refines.append(len(instances))
+            return refine_batch(instances, seeds)
+
+        monkeypatch.setattr(
+            providers_module, "refine_specialized_batch", counting_refine
+        )
+        expected = [depth] if batched else []
+        block = make_block(repetitions=depth)
+
+        HeuristicProvider(name).evaluate_blocks([block])
+        assert calls == expected
+
+        calls.clear()
+        LocalSearchProvider(name).evaluate_blocks([block])
+        assert calls == expected
+        assert refines == expected
+
+        calls.clear()
+        registry = MetricsRegistry()
+
+        async def group():
+            batcher = MicroBatcher(window=0.05, registry=registry)
+            requests = [
+                normalize_request(
+                    {
+                        "heuristic": name,
+                        "application": {"tasks": 10, "types": 3},
+                        "platform": {"machines": 5},
+                        "options": {"seed": seed},
+                    }
+                )
+                for seed in range(depth)
+            ]
+            responses = await asyncio.gather(
+                *(batcher.submit(request) for request in requests)
+            )
+            return responses, batcher.stats.flushes
+
+        responses, flushes = asyncio.run(group())
+        assert flushes == 1
+        assert calls == expected
+        assert all(response["batched"] is batched for response in responses)
+        solved = registry.snapshot()["repro_batcher_solved_requests_total"]["samples"]
+        assert solved == {
+            '{path="batched"}': depth if batched else 0,
+            '{path="fallback"}': 0 if batched else depth,
+        }

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import asyncio
+import importlib.util
 import json
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -339,15 +341,16 @@ class TestMicroBatcher:
 
     @pytest.mark.parametrize("heuristic", available_heuristics())
     def test_batched_service_solves_match_direct_solves(self, heuristic):
-        """Bit-for-bit equivalence, batched and fallback, every heuristic."""
+        """Bit-for-bit equivalence at each heuristic's own crossover depth
+        (the batch kernel where one exists, the fallback loop otherwise)."""
 
         async def scenario():
-            batcher = MicroBatcher(window=0.05, batch=True)
+            batcher = MicroBatcher(window=0.05)
             requests = [
                 normalize_request(
                     make_payload(heuristic=heuristic, seed=seed)
                 )
-                for seed in range(BATCH_THRESHOLD)
+                for seed in range(batch_solve_min_repetitions(heuristic))
             ]
             responses = await asyncio.gather(
                 *(batcher.submit(request) for request in requests)
@@ -566,6 +569,32 @@ class TestSolveWorkerPool:
         assert strip_markers(response) == strip_markers(reference)
         assert stats["workers"] == 2
         assert stats["service"]["solved"] == 1
+
+
+def _load_service_smoke():
+    """The CI service smoke's server helpers, loaded from ``scripts/``."""
+    path = Path(__file__).resolve().parents[2] / "scripts" / "service_smoke.py"
+    spec = importlib.util.spec_from_file_location("service_smoke", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+class TestServeProcess:
+    def test_sigterm_shuts_the_worker_pool_down(self):
+        """``serve --workers 2`` on SIGTERM exits and takes its workers along."""
+        smoke = _load_service_smoke()
+        process, _ = smoke.start_server("--workers", "2")
+        try:
+            workers = smoke.child_pids(process.pid)
+            assert len(workers) == 2
+        except BaseException:
+            process.kill()
+            raise
+        smoke.stop_server(process)  # raises if a worker outlives the server
+        assert process.returncode == 0
+        assert all(smoke.has_exited(pid) for pid in workers)
 
 
 class TestAdmissionControl:
