@@ -1,10 +1,10 @@
-"""Benchmarks of the pluggable kernel backends (PR 7).
+"""Benchmarks of the numba kernel set against the numpy one.
 
 The numba backend replaces the numpy kernels' ``np.add.at`` scatters and
 the ``(R, m, m)`` probe tensor with fused JIT loops; on the refinement
 workload (the hottest loop of the reproduction) it must be at least
 **1.5x** faster than the numpy backend at the hard m=50, R=50 shape.
-Both backends are bit-for-bit identical, so the gate is purely about
+Both kernel sets are bit-for-bit identical, so the gate is purely about
 speed.
 
 Everything here skips cleanly when numba is not installed — the default
@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from repro.backend import numba_status, use_backend
+from repro.backend import activate_backend, numba_backend, numba_status, numpy_backend
 from repro.experiments import CellBlock
 from repro.generators import ScenarioConfig
 from repro.heuristics import get_heuristic
@@ -62,7 +62,7 @@ def _time(fn, repeats=3):
 @requires_numba
 def test_numba_refine_speedup(block):
     """Acceptance: numba >= 1.5x numpy on the batched H4ls descent."""
-    with use_backend("numpy"):
+    with activate_backend(numpy_backend.make_backend()):
         seeds = solve_stack(get_heuristic("H4w"), block.instances, batch=True)
 
         def numpy_refine():
@@ -70,7 +70,7 @@ def test_numba_refine_speedup(block):
 
         numpy_refined, numpy_moves = numpy_refine()
         numpy_time = _time(numpy_refine)
-    with use_backend("numba"):
+    with activate_backend(numba_backend.make_backend()):
         def numba_refine():
             return refine_specialized_batch(block.instances, seeds)
 
@@ -90,7 +90,7 @@ def test_numba_refine_speedup(block):
 @requires_numba
 def test_bench_batch_refine_numba(benchmark, block):
     """The refine gate benchmark on the numba backend (baseline-optional)."""
-    with use_backend("numba"):
+    with activate_backend(numba_backend.make_backend()):
         seeds = solve_stack(get_heuristic("H4w"), block.instances, batch=True)
         refine_specialized_batch(block.instances, seeds)  # JIT warm-up
         refined, moves = benchmark(

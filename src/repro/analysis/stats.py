@@ -13,7 +13,6 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = ["PointSummary", "Series", "summarize", "paired_ratio"]
 
@@ -64,6 +63,10 @@ def summarize(samples: Iterable[float], *, confidence: float = 0.95) -> PointSum
     mean = float(values.mean())
     std = float(values.std(ddof=1)) if values.size > 1 else 0.0
     if values.size > 1 and std > 0.0:
+        # Imported here: scipy.stats alone costs about a second of every
+        # CLI start and pool-worker spawn.
+        from scipy import stats as _scipy_stats
+
         sem = std / math.sqrt(values.size)
         t_crit = float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df=values.size - 1))
         half_width = t_crit * sem

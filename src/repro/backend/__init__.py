@@ -1,4 +1,4 @@
-"""Runtime-selected kernel backends for the hot batch loops.
+"""The kernel set for the hot batch loops, chosen from what is installed.
 
 The batch modules (:mod:`repro.batch.evaluation`,
 :mod:`repro.batch.incremental`) and the batched bisection driver
@@ -6,30 +6,27 @@ The batch modules (:mod:`repro.batch.evaluation`,
 time in a handful of inner kernels: the backward ``x`` propagation, the
 row-wise scatter-add of task contributions into machine periods, the
 single-move candidate probe, and the first-feasible machine selection of
-the greedy placement.  This package puts those kernels behind a small
-registry so they can be swapped at runtime:
+the greedy placement.  This package provides two sets of them:
 
-* ``numpy`` — the default, extracted behavior-identically from the
-  previously inlined code; always available.
+* ``numpy`` — extracted behavior-identically from the previously
+  inlined code; always available.
 * ``numba`` — optional JIT-compiled kernels (``pip install -e
-  .[numba]``) with ``cache=True``; selecting it without numba installed
-  falls back to numpy with a single warning.
+  .[numba]``) with ``cache=True``.
 
-Selection order: explicit :func:`set_backend` (the CLI's ``--backend``
-flag) > the ``REPRO_BACKEND`` environment variable > auto-detection
-(numba when importable and functional, numpy otherwise).
+:func:`get_backend` resolves the set once per process: numba when
+:func:`repro.backend.numba_backend.make_backend` loads, numpy otherwise.
+:class:`activate_backend` is the one way to swap kernels (span-timed
+wrappers, tests and benchmarks that pin a set).
 
-Every backend is held to the same bit-for-bit contract as the original
+Every kernel set is held to the same bit-for-bit contract as the original
 inlined kernels: identical operation order, identical accumulation
 order, so batch results stay bit-for-bit equal to the scalar reference
-path regardless of the backend in use (enforced by the parametrized
-equivalence suite in ``tests/unit/test_backend.py``).
+path whichever set is in use (enforced by the parametrized equivalence
+suite in ``tests/unit/test_backend.py``).
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -38,26 +35,14 @@ from ..exceptions import ReproError
 __all__ = [
     "KernelBackend",
     "BackendUnavailableError",
-    "register_backend",
-    "registered_backends",
-    "available_backends",
     "get_backend",
-    "set_backend",
-    "use_backend",
     "activate_backend",
     "backend_info",
-    "BACKEND_ENV_VAR",
-    "AUTO_BACKEND",
 ]
-
-#: Environment variable consulted when no backend was set programmatically.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
-#: Pseudo-name that resolves to the fastest functional backend.
-AUTO_BACKEND = "auto"
 
 
 class BackendUnavailableError(ReproError):
-    """A backend's factory cannot produce a working kernel set."""
+    """The numba kernel set cannot be built here."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,7 +56,7 @@ class KernelBackend:
     Attributes
     ----------
     name:
-        Registry name ("numpy", "numba", ...).
+        Kernel set name ("numpy" or "numba").
     propagate_x:
         ``(order, succ, f_used) -> x`` — backward expected-product
         recursion over an ``(R, n)`` stack; ``order`` is the reverse
@@ -110,124 +95,25 @@ class KernelBackend:
     first_feasible: Callable
 
 
-_FACTORIES: dict[str, Callable[[], KernelBackend]] = {}
-_INSTANCES: dict[str, KernelBackend] = {}
 _ACTIVE: KernelBackend | None = None
-_EXPLICIT: str | None = None
-_WARNED: set[str] = set()
 
 
-def register_backend(name: str, factory: Callable[[], KernelBackend]) -> None:
-    """Register a backend factory under ``name``.
+def get_backend() -> KernelBackend:
+    """The active kernel set.
 
-    The factory is called lazily on first use and may raise
-    :class:`BackendUnavailableError` (e.g. a missing optional
-    dependency); resolution then falls back to numpy.
-    """
-    key = name.lower()
-    if key in _FACTORIES:
-        raise ReproError(f"kernel backend {name!r} is already registered")
-    _FACTORIES[key] = factory
-
-
-def registered_backends() -> list[str]:
-    """Every registered backend name, loadable or not."""
-    return list(_FACTORIES)
-
-
-def _load(name: str) -> KernelBackend:
-    """Instantiate (and cache) one backend; raises if it cannot load."""
-    if name not in _INSTANCES:
-        _INSTANCES[name] = _FACTORIES[name]()
-    return _INSTANCES[name]
-
-
-def available_backends() -> list[str]:
-    """The registered backends whose factories actually load here.
-
-    ``numpy`` is always included; ``numba`` only when the import (and a
-    smoke compilation) succeeds — this is what the parametrized
-    equivalence tests iterate over.
-    """
-    names = []
-    for name in _FACTORIES:
-        try:
-            _load(name)
-        except BackendUnavailableError:
-            continue
-        names.append(name)
-    return names
-
-
-def _resolve(name: str) -> KernelBackend:
-    key = name.lower()
-    if key == AUTO_BACKEND:
-        # Auto-detect: prefer the compiled backend when it loads, without
-        # warning on the (expected) numpy-only installs.
-        try:
-            return _load("numba")
-        except BackendUnavailableError:
-            return _load("numpy")
-    if key not in _FACTORIES:
-        raise ReproError(
-            f"unknown kernel backend {name!r}; registered: {registered_backends()}"
-        )
-    try:
-        return _load(key)
-    except BackendUnavailableError as exc:
-        if key not in _WARNED:
-            _WARNED.add(key)
-            warnings.warn(
-                f"kernel backend {name!r} is unavailable ({exc}); "
-                "falling back to the numpy backend",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return _load("numpy")
-
-
-def get_backend(name: str | None = None) -> KernelBackend:
-    """The active kernel backend (or the one named ``name``).
-
-    Without ``name``, resolves once per process in selection order —
-    :func:`set_backend` > ``REPRO_BACKEND`` > auto-detect — and caches
-    the result; :func:`set_backend` invalidates the cache.
+    Resolved once per process and cached: the numba set when it loads
+    (numba importable and its kernels compile), the numpy set otherwise,
+    silently.  :class:`activate_backend` swaps it temporarily.
     """
     global _ACTIVE
-    if name is not None:
-        return _resolve(name)
     if _ACTIVE is None:
-        requested = _EXPLICIT or os.environ.get(BACKEND_ENV_VAR) or AUTO_BACKEND
-        _ACTIVE = _resolve(requested)
+        from . import numba_backend, numpy_backend
+
+        try:
+            _ACTIVE = numba_backend.make_backend()
+        except BackendUnavailableError:
+            _ACTIVE = numpy_backend.make_backend()
     return _ACTIVE
-
-
-def set_backend(name: str | None) -> KernelBackend:
-    """Select the process-wide backend; ``None`` resets to auto-detect.
-
-    Returns the backend now active.  An unavailable explicit choice
-    (e.g. ``"numba"`` without numba installed) warns once and activates
-    the numpy fallback, mirroring ``REPRO_BACKEND`` handling.
-    """
-    global _ACTIVE, _EXPLICIT
-    _EXPLICIT = name
-    _ACTIVE = None
-    return get_backend()
-
-
-class use_backend:
-    """Context manager pinning the active backend (tests, benchmarks)."""
-
-    def __init__(self, name: str | None):
-        self._name = name
-        self._previous: str | None = None
-
-    def __enter__(self) -> KernelBackend:
-        self._previous = _EXPLICIT
-        return set_backend(self._name)
-
-    def __exit__(self, *exc_info) -> None:
-        set_backend(self._previous)
 
 
 class activate_backend:
@@ -235,11 +121,11 @@ class activate_backend:
 
     The seam the tracing instrumentation uses to swap in a span-timed
     wrapper of the current backend for the duration of one solve
-    (:mod:`repro.obs.instrument`).  Unlike :func:`use_backend` it takes
-    an instance, not a registry name, so wrappers never pollute the
-    registry.  Concurrent activations on different threads may briefly
-    see each other's instance; that is harmless for wrappers that keep
-    the wrapped kernels' bit-for-bit behaviour (the only supported use).
+    (:mod:`repro.obs.instrument`), and the way tests and benchmarks pin
+    one kernel set (``activate_backend(numpy_backend.make_backend())``).
+    Concurrent activations on different threads may briefly see each
+    other's instance; that is harmless because every installed set keeps
+    the bit-for-bit kernel contract.
     """
 
     __slots__ = ("_backend", "_previous")
@@ -273,22 +159,5 @@ def backend_info() -> dict:
     available, version = numba_status()
     return {
         "name": get_backend().name,
-        "registered": registered_backends(),
         "numba": {"available": available, "version": version},
     }
-
-
-def _register_builtins() -> None:
-    from . import numpy_backend
-
-    register_backend("numpy", numpy_backend.make_backend)
-
-    def _numba_factory() -> KernelBackend:
-        from . import numba_backend
-
-        return numba_backend.make_backend()
-
-    register_backend("numba", _numba_factory)
-
-
-_register_builtins()

@@ -8,10 +8,10 @@ probe's ``(R, m, m)`` candidate tensor into a running max and from
 replacing ``np.add.at`` (notoriously slow in numpy) with plain loops.
 
 All kernels compile with ``cache=True`` so the JIT cost is paid once per
-machine (CI caches the numba cache directory between runs).  Importing
-this module without a working numba raises
-:class:`~repro.backend.BackendUnavailableError`; the registry then falls
-back to numpy with a single warning.
+machine (CI caches the numba cache directory between runs).  Without a
+working numba, :func:`make_backend` raises
+:class:`~repro.backend.BackendUnavailableError` and
+:func:`~repro.backend.get_backend` uses the numpy kernels instead.
 """
 
 from __future__ import annotations

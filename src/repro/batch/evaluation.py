@@ -136,25 +136,13 @@ def batch_expected_products(
     return _expected_products_core(instance, assignments)
 
 
-def _scatter_periods(
-    assignments: np.ndarray, contributions: np.ndarray, num_machines: int
-) -> np.ndarray:
-    """Row-wise segment sum of task contributions into machine periods.
-
-    Every backend visits the tasks of each row in ascending order — the
-    same accumulation order as the scalar kernel, keeping results
-    bit-for-bit identical.
-    """
-    return get_backend().scatter_periods(assignments, contributions, num_machines)
-
-
 def _machine_periods_core(
     instance: ProblemInstance, assignments: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
     """Per-machine periods for an already-validated array and its ``x``."""
     tasks = np.arange(instance.num_tasks)
     w_used = instance.processing_times[tasks[np.newaxis, :], assignments]
-    return _scatter_periods(assignments, x * w_used, instance.num_machines)
+    return get_backend().scatter_periods(assignments, x * w_used, instance.num_machines)
 
 
 def batch_machine_periods(
@@ -183,17 +171,14 @@ def batch_throughputs(instance: ProblemInstance, assignments: np.ndarray) -> np.
     return _throughputs_from(batch_periods(instance, assignments))
 
 
-def _critical_mask(machine_periods: np.ndarray) -> np.ndarray:
-    """Boolean ``(R, m)`` mask of machines attaining each row's maximum."""
-    return get_backend().critical_mask(machine_periods, CRITICAL_REL_TOL)
-
-
 def batch_critical_machines(
     instance: ProblemInstance, assignments: np.ndarray
 ) -> np.ndarray:
     """Boolean ``(R, m)`` mask: entry ``[r, u]`` is true when machine ``u``
     attains the period of mapping ``r`` (all-false rows have period 0)."""
-    return _critical_mask(batch_machine_periods(instance, assignments))
+    return get_backend().critical_mask(
+        batch_machine_periods(instance, assignments), CRITICAL_REL_TOL
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,7 +261,7 @@ def evaluate_batch(
         machine_periods=machine_periods,
         periods=periods,
         throughputs=_throughputs_from(periods),
-        critical_mask=_critical_mask(machine_periods),
+        critical_mask=get_backend().critical_mask(machine_periods, CRITICAL_REL_TOL),
     )
 
 
@@ -446,7 +431,7 @@ class InstanceStack:
         """
         arr, w_used, f_used = self._used(assignments)
         x = _propagate_expected_products(self._app, f_used)
-        machine_periods = _scatter_periods(arr, x * w_used, self.num_machines)
+        machine_periods = get_backend().scatter_periods(arr, x * w_used, self.num_machines)
         periods = machine_periods.max(axis=1)
         return BatchEvaluation(
             assignments=np.ascontiguousarray(arr),
@@ -455,11 +440,11 @@ class InstanceStack:
             machine_periods=machine_periods,
             periods=periods,
             throughputs=_throughputs_from(periods),
-            critical_mask=_critical_mask(machine_periods),
+            critical_mask=get_backend().critical_mask(machine_periods, CRITICAL_REL_TOL),
         )
 
     def periods(self, assignments: np.ndarray) -> np.ndarray:
         """The ``(S,)`` vector of application periods."""
         arr, w_used, f_used = self._used(assignments)
         x = _propagate_expected_products(self._app, f_used)
-        return _scatter_periods(arr, x * w_used, self.num_machines).max(axis=1)
+        return get_backend().scatter_periods(arr, x * w_used, self.num_machines).max(axis=1)

@@ -51,7 +51,7 @@ import os
 import threading
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, BinaryIO
 
 from ..analysis.stats import Series
 from ..exceptions import ExperimentError
@@ -339,33 +339,40 @@ class JsonlStore:
                 self._indexed_end = 0
         self._scan_tail()
 
-    def _scan_tail(self) -> None:
-        """Index every complete record appended after the stored index."""
-        if not self._records_path.exists():
+    def _scan_tail(self, handle: BinaryIO | None = None) -> None:
+        """Index every complete record appended after the stored index.
+
+        Scans ``handle`` when given (an already open records file), else
+        opens the records file.
+        """
+        if handle is None:
+            if not self._records_path.exists():
+                return
+            with open(self._records_path, "rb") as handle:
+                self._scan_tail(handle)
             return
-        with open(self._records_path, "rb") as handle:
-            handle.seek(self._indexed_end)
-            offset = self._indexed_end
-            for line in handle:
-                if not line.endswith(b"\n"):
-                    # Torn final write of an interrupted run: remember it
-                    # so the next append starts on a fresh line instead of
-                    # merging into (and losing) both records on a rescan.
-                    # A kill can also truncate *only* the trailing newline
-                    # — the record itself is complete JSON and is
-                    # recovered rather than dropped (a strict prefix of a
-                    # JSON object never parses, so this cannot resurrect
-                    # a half-written record).  The record stays outside
-                    # the indexed prefix (``_indexed_end`` is not
-                    # advanced): its line is still open, and the next
-                    # append or rescan re-derives it from the tail.
-                    self._tail_torn = True
-                    self._index_record(line, offset)
-                    break
+        handle.seek(self._indexed_end)
+        offset = self._indexed_end
+        for line in handle:
+            if not line.endswith(b"\n"):
+                # Torn final write of an interrupted run: remember it
+                # so the next append starts on a fresh line instead of
+                # merging into (and losing) both records on a rescan.
+                # A kill can also truncate *only* the trailing newline
+                # — the record itself is complete JSON and is
+                # recovered rather than dropped (a strict prefix of a
+                # JSON object never parses, so this cannot resurrect
+                # a half-written record).  The record stays outside
+                # the indexed prefix (``_indexed_end`` is not
+                # advanced): its line is still open, and the next
+                # append or rescan re-derives it from the tail.
+                self._tail_torn = True
                 self._index_record(line, offset)
-                offset += len(line)
-                self._index_dirty = True
-            self._indexed_end = offset
+                break
+            self._index_record(line, offset)
+            offset += len(line)
+            self._index_dirty = True
+        self._indexed_end = offset
 
     def _index_record(self, line: bytes, offset: int) -> None:
         """Register one scanned line's key, ignoring foreign/corrupt lines."""
@@ -377,8 +384,8 @@ class JsonlStore:
         except _PARSE_ERRORS:
             pass
 
-    def _rebuild(self) -> None:
-        """Re-derive the whole index from the records file.
+    def _rebuild(self, handle: BinaryIO | None = None) -> None:
+        """Re-derive the whole index from the records file (or ``handle``).
 
         Invoked when a lookup finds its offset unusable — the on-disk
         index was stale (another store's, or older than a rewrite of the
@@ -390,39 +397,45 @@ class JsonlStore:
             index.clear()
         self._indexed_end = 0
         self._tail_torn = False
-        self._scan_tail()
+        self._scan_tail(handle)
         self._index_dirty = True
 
     # -- reading ----------------------------------------------------------------
-    def _read(self, offset: int) -> dict:
-        with open(self._records_path, "rb") as handle:
-            handle.seek(offset)
-            return json.loads(handle.readline())
+    def _read_keyed(self, handle: BinaryIO, offset: int, kind: str, key: str) -> dict | None:
+        """The payload at ``offset`` if it reads back as a ``kind`` record
+        of ``key``, else ``None``."""
+        handle.seek(offset)
+        try:
+            record = json.loads(handle.readline())
+            if record["kind"] == kind and self._key_of(kind, record["data"]) == key:
+                return record["data"]
+        except _PARSE_ERRORS:
+            pass
+        return None
 
     def _get(self, kind: str, key: str) -> dict | None:
         """The newest payload stored under ``key``, or ``None``.
 
         An offset that reads back as anything but a ``kind`` record with
         this key means the index is stale; the index is then rebuilt from
-        the records file and the lookup retried once.
+        the records file and the lookup retried once.  The lookup, the
+        rebuild scan and the retry all read one open handle: a compaction
+        by another instance swaps a new file in with ``os.replace``, so
+        the handle keeps seeing one consistent file throughout.
         """
         with self._lock:
             offset = self._index[kind].get(key)
             if offset is None:
                 return None
-            try:
-                payload = self._read(offset)
-                if payload["kind"] == kind:
-                    data = payload["data"]
-                    if self._key_of(kind, data) == key:
-                        return data
-            except _PARSE_ERRORS:
-                pass
-            self._rebuild()
-            offset = self._index[kind].get(key)
-            if offset is None:
-                return None
-            return self._read(offset)["data"]
+            with open(self._records_path, "rb") as handle:
+                data = self._read_keyed(handle, offset, kind, key)
+                if data is not None:
+                    return data
+                self._rebuild(handle)
+                offset = self._index[kind].get(key)
+                if offset is None:
+                    return None
+                return self._read_keyed(handle, offset, kind, key)
 
     def _payloads(self, kind: str) -> list[tuple[str, dict]]:
         """Every indexed ``(key, payload)`` of a kind, in key order.
@@ -431,29 +444,25 @@ class JsonlStore:
         one open/seek/close per record through :meth:`_get`; at campaign
         scale that is tens of thousands of syscall round-trips per store.
         Like :meth:`_get`, a record that does not read back as its key
-        triggers one index rebuild and retry.
+        triggers one index rebuild and retry, all on one open handle.
         """
         with self._lock:
-            try:
-                return self._scan_payloads(kind)
-            except _PARSE_ERRORS:
-                self._rebuild()
-                return self._scan_payloads(kind)
+            if not self._index[kind]:
+                return []
+            with open(self._records_path, "rb") as handle:
+                try:
+                    return self._scan_payloads(handle, kind)
+                except _PARSE_ERRORS:
+                    self._rebuild(handle)
+                    return self._scan_payloads(handle, kind)
 
-    def _scan_payloads(self, kind: str) -> list[tuple[str, dict]]:
-        index = self._index[kind]
-        if not index:
-            return []
-        with open(self._records_path, "rb") as handle:
-            payloads = []
-            for key, offset in sorted(index.items()):
-                handle.seek(offset)
-                payload = json.loads(handle.readline())
-                if payload["kind"] != kind or self._key_of(kind, payload["data"]) != key:
-                    raise ExperimentError(
-                        f"stale index entry for {kind} record {key!r}"
-                    )
-                payloads.append((key, payload["data"]))
+    def _scan_payloads(self, handle: BinaryIO, kind: str) -> list[tuple[str, dict]]:
+        payloads = []
+        for key, offset in sorted(self._index[kind].items()):
+            data = self._read_keyed(handle, offset, kind, key)
+            if data is None:
+                raise ExperimentError(f"stale index entry for {kind} record {key!r}")
+            payloads.append((key, data))
         return payloads
 
     # -- writing ----------------------------------------------------------------

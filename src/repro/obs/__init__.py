@@ -14,8 +14,8 @@ The telemetry layer every other subsystem reports into:
   :class:`~repro.obs.metrics.LatencyReservoir`.
 * :mod:`~repro.obs.summary` — span-tree aggregation behind
   ``microrepro trace summarize`` (self/total-time hot-path table).
-* :mod:`~repro.obs.instrument` — aggregated per-kernel backend timings
-  for traced solves.
+* :mod:`~repro.obs.instrument` — aggregated per-kernel timings of the
+  process's kernel set (numba or numpy) for traced solves.
 
 Deliberately a leaf package (it imports only ``repro.experiments.store``
 and, lazily, ``repro.backend``), so the service, DAG, campaign and live

@@ -1,15 +1,16 @@
-"""Span-timed wrappers for the hot kernel backend.
+"""Span-timed wrappers for the hot kernel set.
 
 Per-call spans around kernels would swamp a trace — one solve can make
-thousands of kernel calls — so :func:`timed_kernels` wraps the active
-:class:`~repro.backend.KernelBackend` with *accumulating* timers and
-emits **one** synthetic span per kernel on exit
-(``kernel.propagate_x`` etc., with ``calls`` and ``backend`` attrs, via
-:func:`repro.obs.trace.emit_timing`).  The wrappers call the wrapped
-kernels unchanged, so the bit-for-bit backend contract is untouched;
-they are only installed inside already-traced solves
-(:func:`repro.service.pool.solve_group_traced`, the traced DAG block
-job), never on the default path.
+thousands of kernel calls — so :func:`timed_kernels` wraps the process's
+kernel set (:func:`repro.backend.get_backend`, numba or numpy) with
+*accumulating* timers, installs the wrapper through
+:class:`repro.backend.activate_backend`, and emits **one** synthetic
+span per kernel on exit (``kernel.propagate_x`` etc., with ``calls`` and
+``backend`` attrs, via :func:`repro.obs.trace.emit_timing`).  The
+wrappers call the wrapped kernels unchanged, so the bit-for-bit kernel
+contract is untouched; they are only installed inside already-traced
+solves (:func:`repro.service.pool.solve_group_traced`, the traced DAG
+block job), never on the default path.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class _KernelTimer:
 
 @contextlib.contextmanager
 def timed_kernels():
-    """Time the active backend's kernels for the enclosed solve.
+    """Time the active kernel set for the enclosed solve.
 
     No-op while tracing is inactive.  On exit, emits one aggregated
     span per kernel that was called, parented at the current span.

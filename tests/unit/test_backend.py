@@ -1,21 +1,20 @@
-"""The pluggable kernel-backend registry and its bit-for-bit contract.
+"""Kernel-set selection and the bit-for-bit kernel contract.
 
 Three batteries:
 
-* registry semantics — selection order (``set_backend`` > the
-  ``REPRO_BACKEND`` environment variable > auto-detection), unknown
-  names, and the single-warning numpy fallback when the numba backend
-  cannot load;
-* kernel-level equivalence — every available backend's six kernels
+* selection — :func:`get_backend` picks the numba kernel set when numba
+  loads and the numpy set otherwise, silently; :class:`activate_backend`
+  swaps it temporarily;
+* kernel-level equivalence — every loadable kernel set's six kernels
   against the numpy reference on randomized inputs, exact equality;
-* solver-level equivalence — every available backend x every
+* solver-level equivalence — every loadable kernel set x every
   batch-capable heuristic on scaled fig5/fig9/fig10 sweep points,
   bit-for-bit against the per-instance scalar path run on the numpy
-  reference backend.
+  reference kernels.
 
 The numba batteries run wherever ``pip install -e .[numba]`` happened
 (the CI ``backend-numba`` job); on numpy-only installs
-``available_backends()`` simply yields fewer parameters.
+:data:`KERNEL_SETS` simply holds fewer parameters.
 """
 
 from __future__ import annotations
@@ -28,17 +27,14 @@ import pytest
 
 import repro.backend as backend_mod
 from repro.backend import (
-    BACKEND_ENV_VAR,
-    available_backends,
+    BackendUnavailableError,
+    KernelBackend,
+    activate_backend,
     backend_info,
     get_backend,
     numba_status,
-    registered_backends,
-    set_backend,
-    use_backend,
 )
-from repro.backend import numpy_backend
-from repro.exceptions import ReproError
+from repro.backend import numba_backend, numpy_backend
 from repro.experiments.figures import FIGURES
 from repro.experiments.providers import CellBlock
 from repro.heuristics import get_heuristic
@@ -53,86 +49,63 @@ BATCH_HEURISTICS = ("H2", "H3", "H4", "H4w", "H4f", "H4ls")
 #: m=50, types sweep at n=m=100, the small-platform tasks sweep).
 EQUIVALENCE_FIGURES = ("fig5", "fig9", "fig10")
 
+NUMPY_KERNELS = numpy_backend.make_backend()
+
+
+def _loadable_kernel_sets() -> list[KernelBackend]:
+    """The numpy set always; the numba set when it builds here."""
+    kernel_sets = [NUMPY_KERNELS]
+    try:
+        kernel_sets.append(numba_backend.make_backend())
+    except BackendUnavailableError:
+        pass
+    return kernel_sets
+
+
+#: The kernel sets the equivalence batteries are parametrized over.
+KERNEL_SETS = _loadable_kernel_sets()
+
+over_kernel_sets = pytest.mark.parametrize(
+    "kernels", KERNEL_SETS, ids=lambda kernels: kernels.name
+)
+
 
 @pytest.fixture
-def registry_state(monkeypatch):
-    """Isolate the module-level backend state for one test."""
-    monkeypatch.setattr(backend_mod, "_INSTANCES", dict(backend_mod._INSTANCES))
+def unresolved(monkeypatch):
+    """Forget this process's kernel set so the next lookup re-detects it."""
     monkeypatch.setattr(backend_mod, "_ACTIVE", None)
-    monkeypatch.setattr(backend_mod, "_EXPLICIT", None)
-    monkeypatch.setattr(backend_mod, "_WARNED", set())
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
 
 
-class TestRegistry:
-    def test_builtins_are_registered(self):
-        assert registered_backends() == ["numpy", "numba"]
-
-    def test_numpy_is_always_available(self):
-        assert "numpy" in available_backends()
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ReproError):
-            backend_mod.register_backend("numpy", numpy_backend.make_backend)
-
-    def test_auto_detection_matches_numba_presence(self, registry_state):
+class TestSelection:
+    def test_auto_detection_matches_numba_presence(self, unresolved):
         expected = "numba" if numba_status()[0] else "numpy"
         assert get_backend().name == expected
 
-    def test_env_var_selects_backend(self, registry_state, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert get_backend().name == "numpy"
-
-    def test_unknown_env_var_raises(self, registry_state, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "fortran")
-        with pytest.raises(ReproError, match="unknown kernel backend"):
-            get_backend()
-
-    def test_set_backend_overrides_env(self, registry_state, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "fortran")
-        assert set_backend("numpy").name == "numpy"
-        assert get_backend().name == "numpy"
-
-    def test_set_backend_unknown_name_raises(self, registry_state):
-        with pytest.raises(ReproError, match="unknown kernel backend"):
-            set_backend("fortran")
-
-    def test_use_backend_restores_previous(self, registry_state):
-        set_backend("numpy")
-        with use_backend("numpy") as active:
-            assert active.name == "numpy"
-        assert get_backend().name == "numpy"
-
-    def test_backend_info_shape(self, registry_state):
-        info = backend_info()
-        assert set(info) == {"name", "registered", "numba"}
-        assert info["name"] in info["registered"]
-        assert set(info["numba"]) == {"available", "version"}
-
-    def test_broken_numba_falls_back_with_single_warning(
-        self, registry_state, monkeypatch
-    ):
+    def test_auto_detection_is_silent_without_numba(self, unresolved, monkeypatch):
         # A poisoned sys.modules entry makes `from numba import njit`
         # raise whether or not numba is actually installed.
         monkeypatch.setitem(sys.modules, "numba", None)
-        backend_mod._INSTANCES.pop("numba", None)
-        with pytest.warns(RuntimeWarning, match="falling back to the numpy"):
-            assert set_backend("numba").name == "numpy"
-        # Selecting it again must not warn a second time.
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert set_backend("numba").name == "numpy"
-        assert caught == []
-
-    def test_auto_detection_is_silent_without_numba(
-        self, registry_state, monkeypatch
-    ):
-        monkeypatch.setitem(sys.modules, "numba", None)
-        backend_mod._INSTANCES.pop("numba", None)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert get_backend().name == "numpy"
         assert caught == []
+
+    def test_selection_is_cached(self, unresolved):
+        assert get_backend() is get_backend()
+
+    def test_activate_backend_restores_previous(self):
+        before = get_backend()
+        pinned = numpy_backend.make_backend()
+        with activate_backend(pinned) as active:
+            assert active is pinned
+            assert get_backend() is pinned
+        assert get_backend() is before
+
+    def test_backend_info_shape(self):
+        info = backend_info()
+        assert set(info) == {"name", "numba"}
+        assert info["name"] == get_backend().name
+        assert set(info["numba"]) == {"available", "version"}
 
 
 def _random_kernel_inputs(seed: int, R: int = 7, n: int = 11, m: int = 6):
@@ -167,57 +140,52 @@ def _random_kernel_inputs(seed: int, R: int = 7, n: int = 11, m: int = 6):
     }
 
 
-@pytest.mark.parametrize("backend_name", available_backends())
+@over_kernel_sets
 @pytest.mark.parametrize("seed", (0, 1, 2))
 class TestKernelEquivalence:
-    """Each backend kernel vs the numpy reference, exact equality."""
+    """Each kernel set's kernels vs the numpy reference, exact equality."""
 
-    def test_propagate_x(self, backend_name, seed):
+    def test_propagate_x(self, kernels, seed):
         inputs = _random_kernel_inputs(seed)
-        backend = get_backend(backend_name)
         expected = numpy_backend.propagate_x(
             inputs["order"], inputs["succ"], inputs["f_used"]
         )
-        actual = backend.propagate_x(
+        actual = kernels.propagate_x(
             inputs["order"], inputs["succ"], inputs["f_used"]
         )
         assert np.array_equal(actual, expected)
 
-    def test_scatter_periods(self, backend_name, seed):
+    def test_scatter_periods(self, kernels, seed):
         inputs = _random_kernel_inputs(seed)
-        backend = get_backend(backend_name)
         expected = numpy_backend.scatter_periods(
             inputs["assignments"], inputs["contributions"], inputs["m"]
         )
-        actual = backend.scatter_periods(
+        actual = kernels.scatter_periods(
             inputs["assignments"], inputs["contributions"], inputs["m"]
         )
         assert np.array_equal(actual, expected)
 
-    def test_scatter_add_rows(self, backend_name, seed):
+    def test_scatter_add_rows(self, kernels, seed):
         inputs = _random_kernel_inputs(seed)
-        backend = get_backend(backend_name)
         expected = inputs["base"].copy()
         cols = inputs["assignments"][:, : inputs["m"]] % inputs["m"]
         vals = inputs["contributions"][:, : inputs["m"]]
         numpy_backend.scatter_add_rows(expected, cols, vals)
         actual = inputs["base"].copy()
-        backend.scatter_add_rows(actual, cols, vals)
+        kernels.scatter_add_rows(actual, cols, vals)
         assert np.array_equal(actual, expected)
 
-    def test_critical_mask(self, backend_name, seed):
+    def test_critical_mask(self, kernels, seed):
         inputs = _random_kernel_inputs(seed)
-        backend = get_backend(backend_name)
         periods = numpy_backend.scatter_periods(
             inputs["assignments"], inputs["contributions"], inputs["m"]
         )
         expected = numpy_backend.critical_mask(periods, 1e-9)
-        actual = backend.critical_mask(periods, 1e-9)
+        actual = kernels.critical_mask(periods, 1e-9)
         assert np.array_equal(actual, expected)
 
-    def test_probe_candidates(self, backend_name, seed):
+    def test_probe_candidates(self, kernels, seed):
         inputs = _random_kernel_inputs(seed)
-        backend = get_backend(backend_name)
         args = (
             inputs["base"],
             inputs["rest"],
@@ -226,15 +194,14 @@ class TestKernelEquivalence:
             inputs["w_task"],
         )
         assert np.array_equal(
-            backend.probe_candidates(*args),
+            kernels.probe_candidates(*args),
             numpy_backend.probe_candidates(*args),
         )
 
-    def test_first_feasible(self, backend_name, seed):
+    def test_first_feasible(self, kernels, seed):
         inputs = _random_kernel_inputs(seed)
-        backend = get_backend(backend_name)
         assert np.array_equal(
-            backend.first_feasible(inputs["pref"], inputs["feasible"]),
+            kernels.first_feasible(inputs["pref"], inputs["feasible"]),
             numpy_backend.first_feasible(inputs["pref"], inputs["feasible"]),
         )
 
@@ -254,9 +221,9 @@ def figure_blocks() -> dict[str, CellBlock]:
 
 @pytest.fixture(scope="module")
 def scalar_references(figure_blocks) -> dict[tuple[str, str], np.ndarray]:
-    """Per-instance scalar solves on the numpy reference backend."""
+    """Per-instance scalar solves on the numpy reference kernels."""
     references = {}
-    with use_backend("numpy"):
+    with activate_backend(NUMPY_KERNELS):
         for figure_id, block in figure_blocks.items():
             for name in BATCH_HEURISTICS:
                 references[(figure_id, name)] = solve_stack(
@@ -265,29 +232,29 @@ def scalar_references(figure_blocks) -> dict[tuple[str, str], np.ndarray]:
     return references
 
 
-@pytest.mark.parametrize("backend_name", available_backends())
+@over_kernel_sets
 @pytest.mark.parametrize("heuristic", BATCH_HEURISTICS)
 @pytest.mark.parametrize("figure_id", EQUIVALENCE_FIGURES)
 class TestSolverEquivalence:
-    """Backend x heuristic x figure: bit-for-bit vs the scalar path."""
+    """Kernel set x heuristic x figure: bit-for-bit vs the scalar path."""
 
     def test_batch_solve_matches_scalar_reference(
-        self, backend_name, heuristic, figure_id, figure_blocks, scalar_references
+        self, kernels, heuristic, figure_id, figure_blocks, scalar_references
     ):
         block = figure_blocks[figure_id]
-        with use_backend(backend_name):
+        with activate_backend(kernels):
             batched = solve_stack(
                 get_heuristic(heuristic), block.instances, batch=True
             )
         assert (batched == scalar_references[(figure_id, heuristic)]).all()
 
     def test_periods_match_across_backends(
-        self, backend_name, heuristic, figure_id, figure_blocks, scalar_references
+        self, kernels, heuristic, figure_id, figure_blocks, scalar_references
     ):
         block = figure_blocks[figure_id]
         assignments = scalar_references[(figure_id, heuristic)]
-        with use_backend("numpy"):
+        with activate_backend(NUMPY_KERNELS):
             expected = block.stack.periods(assignments)
-        with use_backend(backend_name):
+        with activate_backend(kernels):
             actual = block.stack.periods(assignments)
         assert np.array_equal(actual, expected)

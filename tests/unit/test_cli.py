@@ -5,10 +5,15 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import CAMPAIGN_MANIFEST, STORE_ENV_VAR, build_parser, main
 from repro.experiments import ResultStore
 from repro.service import SolveService, direct_response, normalize_request
@@ -27,6 +32,20 @@ class TestParser:
     def test_run_rejects_unknown_figure(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "fig99"])
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats costs about a second of every CLI start; only the
+    # confidence interval of a summary needs it, and imports it there.
+    src = Path(repro.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, repro.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestListCommand:
@@ -194,6 +213,7 @@ class TestRunCommand:
             ["shard", "run", "p/shard_0.json", "--balance", "cost"],
             ["dag", "plan", "fig6", "--by", "seed"],
             ["dag", "plan", "fig6", "--balance", "cost"],
+            ["list", "--backend", "numba"],
         ],
         ids=lambda argv: "-".join(argv[:2] + argv[-2:-1]),
     )
@@ -202,6 +222,14 @@ class TestRunCommand:
             build_parser().parse_args(removed)
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_removed_global_backend_flag_is_rejected(self, capsys):
+        # Before the command, argparse reads the flag's value as the
+        # command name, so only the exit code is shared with the above.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["--backend", "numba", "list"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_run_resume_requires_store(self, monkeypatch, capsys):
         monkeypatch.delenv(STORE_ENV_VAR, raising=False)

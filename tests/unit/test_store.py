@@ -530,6 +530,54 @@ class TestCompactConcurrency:
         # Every observed value is a real generation, never torn garbage.
         assert observed <= {float(generation) for generation in range(30)}
 
+    @pytest.mark.parametrize("lookup", ["get", "scan"])
+    @pytest.mark.parametrize(
+        "next_generation",
+        [2.0, 123456.789],
+        ids=["other-key-at-offset", "offset-mid-line"],
+    )
+    def test_compaction_between_rebuild_and_retry(
+        self, tmp_path, monkeypatch, lookup, next_generation
+    ):
+        # The reader's index goes stale (the writer re-puts in reverse
+        # order and compacts), so its next lookup rebuilds.  Right after
+        # that rebuild the writer compacts again, forward order: an offset
+        # taken from the rebuilt index now points at another key's line,
+        # or into the middle of a longer line.  The retry must read the
+        # file the rebuild scanned, not whatever is at the path by then.
+        writer = ResultStore(tmp_path / "s")
+        for i in range(8):
+            writer.put_cell(self._cell(i, generation=0))
+        writer.flush()
+        reader = ResultStore(tmp_path / "s")
+        for i in reversed(range(8)):
+            writer.put_cell(self._cell(i, generation=1))
+        writer.compact()
+        rebuild = reader._rebuild
+        compacted = []
+
+        def rebuild_then_compact(*args, **kwargs):
+            rebuild(*args, **kwargs)
+            if not compacted:
+                for i in range(8):
+                    writer.put_cell(self._cell(i, generation=next_generation))
+                compacted.append(writer.compact())
+
+        monkeypatch.setattr(reader, "_rebuild", rebuild_then_compact)
+        if lookup == "get":
+            cell = reader.get_cell("figX", "abc123", 0, "H4w", 5)
+            assert cell.sweep_value == 5
+            assert cell.values == [1.0, 1.0, 1.0]
+        else:
+            cells = reader.cells()
+            assert [cell.sweep_value for cell in cells] == list(range(8))
+            assert all(cell.values == [1.0, 1.0, 1.0] for cell in cells)
+        assert compacted
+        # The next lookup heals against the file now at the path.
+        healed = reader.get_cell("figX", "abc123", 0, "H4w", 5)
+        assert healed.sweep_value == 5
+        assert healed.values == [next_generation] * 3
+
     def test_appender_thread_racing_compact_loses_nothing(self, tmp_path):
         import threading
 
